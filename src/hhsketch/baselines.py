@@ -22,8 +22,11 @@ COUNTER_BYTES = 4
 class SpaceSaving:
     """Space-Saving table of up to k monitored (flow, count, error) entries.
 
-    The min-ordered structure is a lazy binary heap over (count, key): stale
-    entries are skipped at eviction time, giving O(log k) amortized updates.
+    The min-ordered structure is a binary heap holding exactly one (count,
+    key) entry per monitored flow. A hit updates only `counts`, so an entry
+    may under-state its flow's count; counts only grow, so an eviction
+    refreshes stale tops until the top is live, and that top is the
+    lexicographic minimum (count, key) over the monitored flows.
     """
 
     def __init__(self, memory_bytes: int):
@@ -42,25 +45,24 @@ class SpaceSaving:
         c = counts.get(f)
         if c is not None:
             counts[f] = c + 1
-            heapq.heappush(self._heap, (c + 1, f))
         elif len(counts) < self.capacity:
             counts[f] = 1
             self.errors[f] = 0
             heapq.heappush(self._heap, (1, f))
         else:
             heap = self._heap
-            # drop stale heap entries until the top reflects a live count
+            # refresh stale tops until the top carries its flow's live count
             while True:
                 c0, k0 = heap[0]
-                if counts.get(k0) == c0:
+                live = counts[k0]
+                if live == c0:
                     break
-                heapq.heappop(heap)
-            heapq.heappop(heap)
+                heapq.heapreplace(heap, (live, k0))
             del counts[k0]
             del self.errors[k0]
             counts[f] = c0 + 1
             self.errors[f] = c0
-            heapq.heappush(heap, (c0 + 1, f))
+            heapq.heapreplace(heap, (c0 + 1, f))
 
     def insert_trace(self, keys: np.ndarray) -> None:
         insert = self.insert
@@ -194,14 +196,13 @@ class _SketchHeapBase:
             insert(f)
 
     def report(self, threshold: int) -> list[tuple[int, int]]:
-        """Heap residents with estimates refreshed from the sketch."""
+        """Heap residents with estimates refreshed from the sketch, as
+        query() computes them, in (-estimate, key) order."""
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
-        out = []
-        for key, _ in self.heap.items():
-            est = self.query(key)
-            if est >= threshold:
-                out.append((key, est))
+        keys = [e[1] for e in self.heap.entries]
+        ests = self._estimates(np.array(keys, dtype=np.uint64))
+        out = [(k, est) for k, est in zip(keys, ests) if est >= threshold]
         out.sort(key=lambda kc: (-kc[1], kc[0]))
         return out
 
@@ -255,6 +256,12 @@ class CMHeap(_SketchHeapBase):
     def query(self, f: int) -> int:
         return min(self.counters[r][self.hash.index(r, f, self.width)]
                    for r in range(self.rows))
+
+    def _estimates(self, keys: np.ndarray) -> list[int]:
+        """query() of each key, with one vectorised hash pass per row."""
+        cols = [[row[i] for i in self.hash.index_array(r, keys, self.width).tolist()]
+                for r, row in enumerate(self.counters)]
+        return [min(t) for t in zip(*cols)]
 
 
 class CountHeap(_SketchHeapBase):
@@ -322,3 +329,15 @@ class CountHeap(_SketchHeapBase):
             ests.append(s * self.counters[r][i])
         ests.sort()
         return max(ests[len(ests) // 2], 0)
+
+    def _estimates(self, keys: np.ndarray) -> list[int]:
+        """query() of each key, with one vectorised pass per index and sign row."""
+        one = np.uint64(1)
+        cols = [
+            [row[i] if odd else -row[i] for i, odd in zip(
+                self.hash.index_array(r, keys, self.width).tolist(),
+                (self.hash.value_array(self.rows + r, keys) & one).tolist())]
+            for r, row in enumerate(self.counters)
+        ]
+        mid = self.rows // 2
+        return [max(sorted(t)[mid], 0) for t in zip(*cols)]

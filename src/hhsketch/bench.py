@@ -54,6 +54,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algo not in ALGOS:
             raise ValueError(f"unknown algorithm {self.algo!r}; choose from {ALGOS}")
+        if not self.threshold_frac > 0:
+            raise ValueError(f"threshold_frac must be > 0, got {self.threshold_frac}")
 
     @property
     def memory_bytes(self) -> int:

@@ -100,8 +100,14 @@ class Trace:
     remapped: int = 0  # number of zero keys remapped to REMAP_KEY at ingestion
 
     def __post_init__(self):
-        if self.keys.dtype != np.uint32:
-            object.__setattr__(self, "keys", self.keys.astype(np.uint32))
+        keys = self.keys
+        if keys.dtype != np.uint32:
+            if keys.size and (keys.min() < 0 or keys.max() > 0xFFFFFFFF):
+                raise ValueError(
+                    f"trace keys must lie in [0, {0xFFFFFFFF}]; "
+                    f"got min {keys.min()}, max {keys.max()}"
+                )
+            object.__setattr__(self, "keys", keys.astype(np.uint32))
 
     def __len__(self) -> int:
         return int(self.keys.size)

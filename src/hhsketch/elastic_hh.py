@@ -170,10 +170,5 @@ class ElasticHH:
         """
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
-        out = []
-        ids = self.ids
-        votes = self.votes
-        for i in range(len(ids)):
-            if ids[i] != EMPTY_KEY and votes[i] >= threshold:
-                out.append((ids[i], votes[i]))
-        return out
+        return [(f, v) for f, v in zip(self.ids, self.votes)
+                if f != EMPTY_KEY and v >= threshold]

@@ -10,6 +10,8 @@ folded into the light part as well. The memory budget is split heavy:light
 
 from __future__ import annotations
 
+from itertools import compress
+
 import numpy as np
 
 from .core import EMPTY_KEY, HashFamily
@@ -201,23 +203,22 @@ class ElasticStd:
         return self.light[self.light_index(f)]
 
     def report(self, threshold: int) -> list[tuple[int, int]]:
-        """Heavy-resident flows whose estimate reaches the threshold."""
+        """Heavy-resident flows whose estimate reaches the threshold.
+
+        Deterministic order: bucket index, then cell index.
+        """
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
-        out = []
         ids = self.ids
-        votes = self.votes
-        flags = self.flags
-        for i in range(len(ids)):
-            fid = ids[i]
-            if fid == EMPTY_KEY:
-                continue
-            est = votes[i]
-            if flags[i]:
-                est += self.light[self.light_index(fid)]
-            if est >= threshold:
-                out.append((fid, est))
-        return out
+        ests = self.votes[:]
+        flagged = list(compress(range(len(ids)), self.flags))
+        light_idx = self.hash.index_array(
+            1, np.array([ids[i] for i in flagged], dtype=np.uint64), self.light_size)
+        light = self.light
+        for i, li in zip(flagged, light_idx.tolist()):
+            ests[i] += light[li]
+        return [(f, est) for f, est in zip(ids, ests)
+                if f != EMPTY_KEY and est >= threshold]
 
     def heavy_votes_total(self) -> int:
         return sum(self.votes)

@@ -61,6 +61,34 @@ class TestSpaceSaving:
             assert c >= oracle.true_count(f)
             assert c - s.errors.get(f, 0) <= oracle.true_count(f)
 
+    def test_heap_holds_one_entry_per_flow(self):
+        s = SpaceSaving(12 * 50)
+        s.insert_trace(generate_zipf(20_000, 400, 1.0, 5).keys)
+        assert len(s.counts) == s.capacity
+        assert len(s._heap) == len(s.counts) <= s.capacity
+        assert sorted(k for _, k in s._heap) == sorted(s.counts)
+
+    def test_matches_linear_scan_reference(self):
+        # reference Space-Saving: evict min((count, key)) by a linear scan
+        rng = np.random.default_rng(34)
+        for _ in range(20):
+            tr = random_trace(rng, max_packets=3000, max_distinct=300)
+            s = SpaceSaving(12 * int(rng.integers(1, 40)))
+            s.insert_trace(tr.keys)
+            counts, errors = {}, {}
+            for f in tr.keys.tolist():
+                if f in counts:
+                    counts[f] += 1
+                elif len(counts) < s.capacity:
+                    counts[f], errors[f] = 1, 0
+                else:
+                    c0, k0 = min((c, k) for k, c in counts.items())
+                    del counts[k0], errors[k0]
+                    counts[f], errors[f] = c0 + 1, c0
+            assert s.counts == counts
+            assert s.errors == errors
+            assert len(s._heap) == len(s.counts)
+
     def test_query_and_report(self):
         s = SpaceSaving(24)
         for f in [1, 1, 1, 2]:

@@ -57,6 +57,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown config fields"):
             ExperimentConfig.from_dict({"algo": "elastic_hh", "bogus": 1})
 
+    @pytest.mark.parametrize("frac", [0.0, -0.01])
+    def test_rejects_nonpositive_threshold_frac(self, frac, capsys):
+        with pytest.raises(ValueError, match="threshold_frac"):
+            ExperimentConfig(algo="elastic_hh", threshold_frac=frac)
+        assert main(["run", "--algo", "elastic_hh", "--threshold-frac", str(frac),
+                     "--repeats", "0"]) == 1
+        assert "threshold_frac must be > 0" in capsys.readouterr().err
+
 
 class TestRunners:
     def test_run_single_fields(self):

@@ -73,6 +73,16 @@ class TestTraceIO:
         assert tr.remapped == 2
         assert EMPTY_KEY not in tr.keys
 
+    @pytest.mark.parametrize("bad", [[-1, 5], [7, 2**32], [2**33 + 7]])
+    def test_out_of_range_keys_rejected(self, bad):
+        with pytest.raises(ValueError, match="trace keys"):
+            Trace(np.array(bad, dtype=np.int64))
+
+    def test_in_range_int64_keys_convert(self):
+        tr = Trace(np.array([0, 7, 2**32 - 1], dtype=np.int64))
+        assert tr.keys.dtype == np.uint32
+        assert tr.keys.tolist() == [0, 7, 2**32 - 1]
+
 
 class TestZipfGenerator:
     def test_deterministic_given_seed(self):
