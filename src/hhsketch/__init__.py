@@ -12,8 +12,7 @@ from .core import (
     load_trace,
     write_trace,
 )
-from .elastic_hh import ElasticHH, bucket_footprint
-from .elastic_std import ElasticStd
+from .elastic import ElasticHH, ElasticStd, bucket_footprint
 from .baselines import CMHeap, CountHeap, SpaceSaving
 from .metrics import (
     MetricsBundle,

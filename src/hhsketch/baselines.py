@@ -190,11 +190,6 @@ class _SketchHeapBase:
         elif est > heap.min_estimate():
             heap.replace_min(f, est)
 
-    def insert_trace(self, keys: np.ndarray) -> None:
-        insert = self.insert
-        for f in keys.tolist():
-            insert(f)
-
     def report(self, threshold: int) -> list[tuple[int, int]]:
         """Heap residents with estimates refreshed from the sketch, as
         query() computes them, in (-estimate, key) order."""

@@ -19,8 +19,7 @@ from pathlib import Path
 from . import __version__
 from .baselines import CMHeap, CountHeap, SpaceSaving
 from .core import Trace, TraceLoadError, generate_zipf, load_trace, mix64, write_trace
-from .elastic_hh import ElasticHH
-from .elastic_std import ElasticStd
+from .elastic import ElasticHH, ElasticStd
 from .metrics import MetricsBundle, Oracle, cdf, compute_accuracy, measure_throughput
 
 ALGOS = ("elastic_hh", "elastic", "spacesaving", "cmheap", "countheap")
@@ -152,7 +151,7 @@ def run_single(cfg: ExperimentConfig, trace: Trace | None = None,
     sk = factory()
     sk.insert_trace(trace.keys)
     t0 = time.perf_counter()
-    report = sk.report(max(threshold, 1)) if threshold >= 1 else []
+    report = sk.report(threshold) if threshold >= 1 else []
     report_seconds = time.perf_counter() - t0
     bundle = compute_accuracy(oracle, report, threshold)
     mpps_mean = mpps_std = noop_mean = None
@@ -265,51 +264,36 @@ def emit(results: list[ResultRow], fmt: str, path: str | Path) -> None:
 
 
 def _add_config_args(p: argparse.ArgumentParser, need_algo: bool = True) -> None:
+    """A flag per ExperimentConfig field (dest and default are the field's), plus output flags."""
+    d = {f.name: f.default for f in fields(ExperimentConfig)}
     if need_algo:
         p.add_argument("--algo", required=True, choices=ALGOS)
-    p.add_argument("--memory-kb", type=int, default=300)
-    p.add_argument("--threshold-frac", type=float, default=0.0001)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--cells-per-bucket", type=int, default=7)
-    p.add_argument("--heavy-ratio", type=int, default=3)
-    p.add_argument("--light-ratio", type=int, default=1)
-    p.add_argument("--heap-capacity", type=int, default=4096)
-    p.add_argument("--rows", type=int, default=3)
-    p.add_argument("--trace", dest="trace_path", default=None,
+    p.add_argument("--memory-kb", type=int, default=d["memory_kb"])
+    p.add_argument("--threshold-frac", type=float, default=d["threshold_frac"])
+    p.add_argument("--lambda", dest="lam", type=float, default=d["lam"])
+    p.add_argument("--cells-per-bucket", type=int, default=d["cells_per_bucket"])
+    p.add_argument("--heavy-ratio", type=int, default=d["heavy_ratio"])
+    p.add_argument("--light-ratio", type=int, default=d["light_ratio"])
+    p.add_argument("--heap-capacity", type=int, default=d["heap_capacity"])
+    p.add_argument("--rows", type=int, default=d["rows"])
+    p.add_argument("--trace", dest="trace_path", default=d["trace_path"],
                    help="trace file; omit to use the built-in Zipf generator")
-    p.add_argument("--trace-format", choices=["binary-u32", "csv"], default="binary-u32")
-    p.add_argument("--zipf-n", type=int, default=DEFAULT_ZIPF["n"])
-    p.add_argument("--zipf-distinct", type=int, default=DEFAULT_ZIPF["distinct"])
-    p.add_argument("--zipf-skew", type=float, default=DEFAULT_ZIPF["skew"])
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--repeats", type=int, default=100,
+    p.add_argument("--trace-format", choices=["binary-u32", "csv"], default=d["trace_format"])
+    p.add_argument("--zipf-n", type=int, default=d["zipf_n"])
+    p.add_argument("--zipf-distinct", type=int, default=d["zipf_distinct"])
+    p.add_argument("--zipf-skew", type=float, default=d["zipf_skew"])
+    p.add_argument("--seed", type=int, default=d["seed"])
+    p.add_argument("--repeats", type=int, default=d["repeats"],
                    help="throughput repeats; 0 skips the timing pass")
-    p.add_argument("--no-charge-heap", action="store_true",
-                   help="exclude heap memory from the sketch budget")
+    p.add_argument("--no-charge-heap", dest="charge_heap", action="store_false",
+                   default=d["charge_heap"], help="exclude heap memory from the sketch budget")
     p.add_argument("--out", default="results.csv")
     p.add_argument("--format", dest="out_format", choices=["csv", "json"], default="csv")
 
 
 def _config_from_args(args, algo: str | None = None) -> ExperimentConfig:
-    return ExperimentConfig(
-        algo=algo or args.algo,
-        memory_kb=args.memory_kb,
-        threshold_frac=args.threshold_frac,
-        lam=args.lam,
-        cells_per_bucket=args.cells_per_bucket,
-        heavy_ratio=args.heavy_ratio,
-        light_ratio=args.light_ratio,
-        heap_capacity=args.heap_capacity,
-        rows=args.rows,
-        trace_path=args.trace_path,
-        trace_format=args.trace_format,
-        zipf_n=args.zipf_n,
-        zipf_distinct=args.zipf_distinct,
-        zipf_skew=args.zipf_skew,
-        seed=args.seed,
-        repeats=args.repeats,
-        charge_heap=not args.no_charge_heap,
-    )
+    return ExperimentConfig(algo=algo or args.algo, **{
+        f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if f.name != "algo"})
 
 
 def _parse_list(spec: str, cast) -> list:

@@ -101,6 +101,8 @@ class Trace:
 
     def __post_init__(self):
         keys = self.keys
+        if not np.issubdtype(keys.dtype, np.integer):
+            raise ValueError(f"trace keys must be integers; got dtype {keys.dtype}")
         if keys.dtype != np.uint32:
             if keys.size and (keys.min() < 0 or keys.max() > 0xFFFFFFFF):
                 raise ValueError(
@@ -200,7 +202,8 @@ def harmonic(n: int, skew: float = 1.0) -> float:
 
 
 def threshold_for(frac: float, n: int) -> int:
-    """Heavy-hitter threshold: ceil(frac * n), robust to float round-off."""
+    """Heavy-hitter threshold: ceil(frac * n), robust to float round-off,
+    and at least 1 when frac and n are positive."""
     if frac < 0:
         raise ValueError("frac must be >= 0")
-    return max(0, math.ceil(frac * n - 1e-9))
+    return max(int(frac > 0 and n > 0), math.ceil(frac * n - 1e-9))

@@ -1,0 +1,345 @@
+"""Elastic sketches: one bucket layout, two rules for a full bucket.
+
+A bucket holds (flow id, votes) cells and one negative-vote counter. A packet
+that finds its bucket full adds a negative vote, and `_full` decides the rest:
+`ElasticHH`, the tailored sketch, replaces the smallest flow once negative
+votes exceed lambda times its votes, and the newcomer inherits them plus one.
+`ElasticStd`, the standard Elastic sketch (Yang et al., SIGCOMM 2018), evicts
+at >=, moves the evicted votes to a light part of 8-bit counters and counts
+every other miss there. Key 0 (`EMPTY_KEY`) marks empty cells: both reject it.
+"""
+
+from __future__ import annotations
+
+from itertools import compress
+
+import numpy as np
+
+from .core import EMPTY_KEY, HashFamily
+
+_VOTE_MAX = 0xFFFFFFFF
+_LIGHT_MAX = 255
+_EMPTY_KEY_ERROR = f"flow key {EMPTY_KEY} is reserved for empty cells"
+
+HIT = "hit"
+EMPTY_INSERT = "empty_insert"
+REPLACEMENT = "replacement"
+DISCARD = "discard"
+TO_LIGHT = "to_light"
+EVICTION = "eviction"
+
+
+def bucket_footprint(cells_per_bucket: int) -> int:
+    """Bytes per bucket: cells * (4B id + 4B votes) + 4B negative votes;
+    the 7-cell default is padded to a 64-byte cache line."""
+    if cells_per_bucket < 1:
+        raise ValueError("cells_per_bucket must be >= 1")
+    return 64 if cells_per_bucket == 7 else cells_per_bucket * 8 + 4
+
+
+class _ElasticBucket:
+    """The heavy part both variants share; hash row 0 picks the bucket.
+
+    Cells fill left to right and are never vacated, so the first empty cell
+    ends a scan. A variant sizes the buckets, gives every cell's estimate in
+    `_estimates()` and supplies `_full(b, f, min_i, min_v, vm)`: packet f
+    found bucket b full, min_i is its first smallest cell, holding min_v
+    votes, and vm is the negative votes with this miss.
+    """
+
+    def __init__(self, memory_bytes: int, lam: float, cells_per_bucket: int,
+                 bucket_count: int, seed: int, hash_rows: int):
+        if lam < 0:
+            raise ValueError("lambda must be >= 0")
+        self.memory_bytes = memory_bytes
+        self.lam = float(lam)
+        self.cells_per_bucket = cells_per_bucket
+        self.bucket_count = bucket_count
+        self.hash = HashFamily(seed, rows=hash_rows)
+        self.ids = [EMPTY_KEY] * (bucket_count * cells_per_bucket)
+        self.votes = [0] * len(self.ids)
+        self.vote_minus = [0] * bucket_count
+        self.hits = 0
+        self.empty_inserts = 0
+
+    def bucket_of(self, f: int) -> int:
+        return self.hash.index(0, f, self.bucket_count)
+
+    def insert(self, f: int) -> str:
+        """Insert one packet; returns "hit", "empty_insert" or `_full`'s outcome."""
+        if f == EMPTY_KEY:
+            raise ValueError(_EMPTY_KEY_ERROR)
+        b = self.bucket_of(f)
+        base = b * self.cells_per_bucket
+        ids = self.ids
+        votes = self.votes
+        min_i = -1
+        min_v = _VOTE_MAX + 1
+        for i in range(base, base + self.cells_per_bucket):
+            fid = ids[i]
+            if fid == f:
+                votes[i] += 1
+                self.hits += 1
+                return HIT
+            if fid == EMPTY_KEY:
+                ids[i] = f
+                votes[i] = 1
+                self.empty_inserts += 1
+                return EMPTY_INSERT
+            v = votes[i]
+            if v < min_v:
+                min_v = v
+                min_i = i
+        vm = self.vote_minus[b]
+        if vm < _VOTE_MAX:
+            vm += 1
+        return self._full(b, f, min_i, min_v, vm)
+
+    def _cell(self, f: int) -> int:
+        """Index of f's cell, or -1 when f is not resident."""
+        base = self.bucket_of(f) * self.cells_per_bucket
+        ids = self.ids
+        for i in range(base, base + self.cells_per_bucket):
+            fid = ids[i]
+            if fid == f:
+                return i
+            if fid == EMPTY_KEY:
+                break
+        return -1
+
+    def report(self, threshold: int) -> list[tuple[int, int]]:
+        """Resident (flow id, estimate) pairs with estimate >= threshold,
+        in bucket order, then cell order."""
+        if threshold < 1:
+            raise ValueError("threshold must be >= 1")
+        return [(f, est) for f, est in zip(self.ids, self._estimates())
+                if f != EMPTY_KEY and est >= threshold]
+
+
+class ElasticHH(_ElasticBucket):
+    """Tailored heavy-part-only sketch, sized from a byte budget."""
+
+    def __init__(self, memory_bytes: int, lam: float = 1.0,
+                 cells_per_bucket: int = 7, seed: int = 1):
+        fp = bucket_footprint(cells_per_bucket)
+        if memory_bytes < fp:
+            raise ValueError(f"memory {memory_bytes}B is below one {fp}B bucket")
+        super().__init__(memory_bytes, lam, cells_per_bucket, memory_bytes // fp, seed, 1)
+        self.replacements = 0
+        self.discards = 0
+
+    @property
+    def total_insertions(self) -> int:
+        return self.hits + self.empty_inserts + self.replacements + self.discards
+
+    def _full(self, b: int, f: int, min_i: int, min_v: int, vm: int) -> str:
+        if vm > self.lam * min_v:
+            self.ids[min_i] = f
+            self.votes[min_i] = min_v + 1
+            self.vote_minus[b] = 0
+            self.replacements += 1
+            return REPLACEMENT
+        self.vote_minus[b] = vm
+        self.discards += 1
+        return DISCARD
+
+    def insert_trace(self, keys: np.ndarray) -> None:
+        """Bulk insert pass, equivalent to insert() per key."""
+        if not keys.all():
+            raise ValueError(_EMPTY_KEY_ERROR)
+        buckets = self.hash.index_array(0, keys, self.bucket_count)
+        c = self.cells_per_bucket
+        ids = self.ids
+        votes = self.votes
+        vote_minus = self.vote_minus
+        lam = self.lam
+        hits = empty_inserts = replacements = discards = 0
+        for f, b in zip(keys.tolist(), buckets.tolist()):
+            base = b * c
+            min_i = -1
+            min_v = 4294967296
+            for i in range(base, base + c):
+                fid = ids[i]
+                if fid == f:
+                    votes[i] += 1
+                    hits += 1
+                    break
+                if fid == EMPTY_KEY:
+                    ids[i] = f
+                    votes[i] = 1
+                    empty_inserts += 1
+                    break
+                v = votes[i]
+                if v < min_v:
+                    min_v = v
+                    min_i = i
+            else:
+                vm = vote_minus[b]
+                if vm < _VOTE_MAX:
+                    vm += 1
+                if vm > lam * min_v:
+                    ids[min_i] = f
+                    votes[min_i] = min_v + 1
+                    vote_minus[b] = 0
+                    replacements += 1
+                else:
+                    vote_minus[b] = vm
+                    discards += 1
+        self.hits += hits
+        self.empty_inserts += empty_inserts
+        self.replacements += replacements
+        self.discards += discards
+
+    def query(self, f: int) -> int:
+        """Estimated size of flow f: its cell's votes, or 0 if absent."""
+        i = self._cell(f)
+        return self.votes[i] if i >= 0 else 0
+
+    def _estimates(self) -> list[int]:
+        return self.votes
+
+
+class ElasticStd(_ElasticBucket):
+    """Standard Elastic sketch (heavy + light), sized from a byte budget."""
+
+    def __init__(self, memory_bytes: int, lam: float = 8.0,
+                 cells_per_bucket: int = 7, heavy_light_ratio: tuple[int, int] = (3, 1),
+                 seed: int = 1):
+        h, l = heavy_light_ratio
+        if h < 1 or l < 1:
+            raise ValueError("heavy:light ratio parts must be >= 1")
+        fp = bucket_footprint(cells_per_bucket)
+        heavy_bytes = memory_bytes * h // (h + l)
+        bucket_count = heavy_bytes // fp
+        if bucket_count < 1:
+            raise ValueError(f"memory {memory_bytes}B leaves {heavy_bytes}B for the "
+                             f"heavy part, below one {fp}B bucket")
+        # light part gets every byte not consumed by whole buckets
+        self.light_size = memory_bytes - bucket_count * fp
+        if self.light_size < 1:
+            raise ValueError(f"memory {memory_bytes}B leaves no room for a light counter")
+        # hash row 1 picks the light counter
+        super().__init__(memory_bytes, lam, cells_per_bucket, bucket_count, seed, 2)
+        self.flags = [False] * len(self.ids)
+        self.light = bytearray(self.light_size)
+        self.light_clipped = False  # any saturating add lost counts
+        self.to_light = 0
+        self.evictions = 0
+
+    def light_index(self, f: int) -> int:
+        return self.hash.index(1, f, self.light_size)
+
+    def _light_add(self, f: int, amount: int) -> None:
+        li = self.light_index(f)
+        cur = self.light[li]
+        if amount > _LIGHT_MAX - cur:
+            self.light_clipped = True
+            amount = _LIGHT_MAX - cur
+        self.light[li] = cur + amount
+
+    def _full(self, b: int, f: int, min_i: int, min_v: int, vm: int) -> str:
+        if vm >= self.lam * min_v:
+            self._light_add(self.ids[min_i], min_v)
+            self.ids[min_i] = f
+            self.votes[min_i] = 1
+            self.flags[min_i] = True
+            self.vote_minus[b] = 0
+            self.evictions += 1
+            return EVICTION
+        self.vote_minus[b] = vm
+        self._light_add(f, 1)
+        self.to_light += 1
+        return TO_LIGHT
+
+    def insert_trace(self, keys: np.ndarray) -> None:
+        """Bulk insert pass, equivalent to insert() per key."""
+        if not keys.all():
+            raise ValueError(_EMPTY_KEY_ERROR)
+        buckets = self.hash.index_array(0, keys, self.bucket_count)
+        c = self.cells_per_bucket
+        ids = self.ids
+        votes = self.votes
+        flags = self.flags
+        vote_minus = self.vote_minus
+        light = self.light
+        light_size = self.light_size
+        lam = self.lam
+        lhash = self.hash
+        hits = empty_inserts = to_light = evictions = 0
+        for f, b in zip(keys.tolist(), buckets.tolist()):
+            base = b * c
+            min_i = -1
+            min_v = 4294967296
+            for i in range(base, base + c):
+                fid = ids[i]
+                if fid == f:
+                    votes[i] += 1
+                    hits += 1
+                    break
+                if fid == EMPTY_KEY:
+                    ids[i] = f
+                    votes[i] = 1
+                    empty_inserts += 1
+                    break
+                v = votes[i]
+                if v < min_v:
+                    min_v = v
+                    min_i = i
+            else:
+                vm = vote_minus[b]
+                if vm < _VOTE_MAX:
+                    vm += 1
+                if vm >= lam * min_v:
+                    old_id = ids[min_i]
+                    li = lhash.index(1, old_id, light_size)
+                    cur = light[li]
+                    room = _LIGHT_MAX - cur
+                    if min_v > room:
+                        self.light_clipped = True
+                        light[li] = _LIGHT_MAX
+                    else:
+                        light[li] = cur + min_v
+                    ids[min_i] = f
+                    votes[min_i] = 1
+                    flags[min_i] = True
+                    vote_minus[b] = 0
+                    evictions += 1
+                else:
+                    vote_minus[b] = vm
+                    li = lhash.index(1, f, light_size)
+                    cur = light[li]
+                    if cur < _LIGHT_MAX:
+                        light[li] = cur + 1
+                    else:
+                        self.light_clipped = True
+                    to_light += 1
+        self.hits += hits
+        self.empty_inserts += empty_inserts
+        self.to_light += to_light
+        self.evictions += evictions
+
+    def query(self, f: int) -> int:
+        """Heavy votes, plus the light counter if the cell saw an eviction;
+        the light counter alone when f is not resident."""
+        i = self._cell(f)
+        if i >= 0 and not self.flags[i]:
+            return self.votes[i]
+        light = self.light[self.light_index(f)]
+        return light + self.votes[i] if i >= 0 else light
+
+    def _estimates(self) -> list[int]:
+        """query() of every cell's flow, with one vectorised light-hash pass."""
+        ids = self.ids
+        ests = self.votes[:]
+        flagged = list(compress(range(len(ids)), self.flags))
+        light_idx = self.hash.index_array(
+            1, np.array([ids[i] for i in flagged], dtype=np.uint64), self.light_size)
+        for i, li in zip(flagged, light_idx.tolist()):
+            ests[i] += self.light[li]
+        return ests
+
+    def heavy_votes_total(self) -> int:
+        return sum(self.votes)
+
+    def light_total(self) -> int:
+        return sum(self.light)

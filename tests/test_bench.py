@@ -9,11 +9,12 @@ from hhsketch import (
     ALGOS,
     ExperimentConfig,
     emit,
+    generate_zipf,
     run_lambda_sweep,
     run_memory_sweep,
     run_single,
 )
-from hhsketch.bench import CSV_COLUMNS, main
+from hhsketch.bench import CSV_COLUMNS, _config_from_args, build_parser, main
 
 SMALL = dict(memory_kb=8, zipf_n=20_000, zipf_distinct=2000, threshold_frac=0.001,
              repeats=0)
@@ -75,6 +76,15 @@ class TestRunners:
         assert row.metrics.f1 is not None
         assert row.mpps_mean is None  # repeats=0 skips timing
         assert row.config["algo"] == "elastic_hh"
+
+    def test_tiny_threshold_frac_gives_threshold_one(self):
+        cfg = ExperimentConfig(algo="elastic_hh", threshold_frac=1e-15, zipf_n=1000,
+                               zipf_distinct=50, repeats=0)
+        row = run_single(cfg)
+        distinct = len(set(generate_zipf(1000, 50, 1.0, cfg.seed).keys.tolist()))
+        assert row.threshold == 1
+        assert row.n_true_hh == distinct
+        assert row.metrics.f1 == 1.0
 
     def test_run_single_throughput_pass(self):
         cfg = ExperimentConfig(algo="elastic_hh", memory_kb=8, zipf_n=2000,
@@ -154,6 +164,20 @@ class TestEmission:
 
 
 class TestCli:
+    @pytest.mark.parametrize("argv, algo", [
+        (["run", "--algo", "cmheap"], None),
+        (["sweep-memory"], "elastic_hh"),
+        (["sweep-lambda"], "elastic_hh"),
+    ])
+    def test_flag_defaults_match_config_defaults(self, argv, algo):
+        # sweeps pass the algorithm as main() does; run takes it from --algo
+        cfg = _config_from_args(build_parser().parse_args(argv), algo)
+        assert cfg == ExperimentConfig(algo=algo or "cmheap")
+
+    def test_no_charge_heap_flag(self):
+        args = build_parser().parse_args(["run", "--algo", "cmheap", "--no-charge-heap"])
+        assert _config_from_args(args).charge_heap is False
+
     def test_gen_oracle_run_pipeline(self, tmp_path, capsys):
         trace = tmp_path / "t.bin"
         assert main(["gen-trace", "--out", str(trace), "--n", "20000",

@@ -78,6 +78,11 @@ class TestTraceIO:
         with pytest.raises(ValueError, match="trace keys"):
             Trace(np.array(bad, dtype=np.int64))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
+    def test_non_integer_keys_rejected(self, dtype):
+        with pytest.raises(ValueError, match="trace keys must be integers"):
+            Trace(np.array([1.7, 2.2]).astype(dtype))
+
     def test_in_range_int64_keys_convert(self):
         tr = Trace(np.array([0, 7, 2**32 - 1], dtype=np.int64))
         assert tr.keys.dtype == np.uint32
@@ -212,5 +217,7 @@ class TestThreshold:
     def test_zero_cases(self):
         assert threshold_for(0.0, 100) == 0
         assert threshold_for(0.1, 0) == 0
+        # a positive fraction of a nonempty stream never rounds down to 0
+        assert threshold_for(1e-15, 1000) == 1
         with pytest.raises(ValueError):
             threshold_for(-0.1, 100)

@@ -116,7 +116,7 @@ class TestInvariants:
         tr = generate_zipf(2000, 100, 1.0, 5)
         s = ElasticHH(1024)
         s.insert_trace(tr.keys)
-        assert s.bucket_accesses == 2000
+        assert s.total_insertions == 2000
 
     def test_resident_votes_never_decrease(self):
         rng = np.random.default_rng(7)
