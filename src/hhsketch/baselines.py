@@ -160,7 +160,13 @@ class _TopKHeap:
 
 
 class _SketchHeapBase:
-    """Shared plumbing for the sketch + min-heap top-k trackers."""
+    """Shared plumbing for the sketch + min-heap top-k trackers.
+
+    Both sketches are linear: a packet adds a fixed step to one counter per
+    row, so a batch's row updates commute. insert_trace therefore updates
+    each row in one vectorised pass, and only the heap admission runs per
+    packet, in packet order, with each packet's running estimate.
+    """
 
     def __init__(self, memory_bytes: int, rows: int, heap_capacity: int,
                  seed: int, charge_heap: bool, hash_rows: int):
@@ -177,18 +183,47 @@ class _SketchHeapBase:
         self.rows = rows
         self.width = width
         self.hash = HashFamily(seed, rows=hash_rows)
-        self.counters = [[0] * width for _ in range(rows)]
+        # int64 so that no overflow mode appears; the budget charges COUNTER_BYTES
+        self.counters = np.zeros((rows, width), dtype=np.int64)
         self.heap = _TopKHeap(heap_capacity)
         self.n = 0
 
-    def _admit(self, f: int, est: int) -> None:
+    def _admit(self, keys, ests) -> None:
+        """Offer each (key, estimate) to the top-k heap, in order."""
         heap = self.heap
-        if f in heap.pos:
-            heap.update(f, est)
-        elif len(heap) < heap.capacity:
-            heap.push(f, est)
-        elif est > heap.min_estimate():
-            heap.replace_min(f, est)
+        pos = heap.pos
+        entries = heap.entries
+        capacity = heap.capacity
+        for f, est in zip(keys, ests):
+            if f in pos:
+                heap.update(f, est)
+            elif len(entries) < capacity:
+                heap.push(f, est)
+            elif est > entries[0][0]:
+                heap.replace_min(f, est)
+
+    def insert_trace(self, keys: np.ndarray) -> None:
+        self._admit(keys.tolist(), self._running_estimates(keys).tolist())
+        self.n += int(keys.size)
+
+    def _add_running(self, row: int, idx: np.ndarray, step) -> np.ndarray:
+        """Add step (scalar or per packet) to counter idx[j] of the row for
+        each packet j, and return each packet's post-add value in packet
+        order: the pre-batch value plus a prefix sum over the packets at the
+        same index, which a stable sort keeps in packet order."""
+        counters = self.counters[row]
+        order = np.argsort(idx, kind="stable")
+        sidx = idx[order]
+        steps = np.broadcast_to(step, idx.shape)[order]
+        csum = np.cumsum(steps)
+        starts = np.flatnonzero(np.diff(sidx, prepend=-1))
+        lengths = np.diff(starts, append=idx.size)
+        running = csum - np.repeat(csum[starts] - steps[starts], lengths) + counters[sidx]
+        ends = starts + lengths - 1
+        counters[sidx[ends]] = running[ends]
+        out = np.empty_like(running)
+        out[order] = running
+        return out
 
     def report(self, threshold: int) -> list[tuple[int, int]]:
         """Heap residents with estimates refreshed from the sketch, as
@@ -196,7 +231,7 @@ class _SketchHeapBase:
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
         keys = [e[1] for e in self.heap.entries]
-        ests = self._estimates(np.array(keys, dtype=np.uint64))
+        ests = self._estimates(np.array(keys, dtype=np.uint64)).tolist()
         out = [(k, est) for k, est in zip(keys, ests) if est >= threshold]
         out.sort(key=lambda kc: (-kc[1], kc[0]))
         return out
@@ -212,51 +247,29 @@ class CMHeap(_SketchHeapBase):
 
     def insert(self, f: int) -> None:
         self.n += 1
+        counters = self.counters
         est = None
         for r in range(self.rows):
-            row = self.counters[r]
             i = self.hash.index(r, f, self.width)
-            v = row[i] + 1
-            row[i] = v
+            v = counters.item(r, i) + 1
+            counters[r, i] = v
             if est is None or v < est:
                 est = v
-        self._admit(f, est)
-
-    def insert_trace(self, keys: np.ndarray) -> None:
-        """Bulk insert pass with vectorized row hashing."""
-        idx = [self.hash.index_array(r, keys, self.width).tolist()
-               for r in range(self.rows)]
-        counters = self.counters
-        rows = range(self.rows)
-        heap = self.heap
-        pos = heap.pos
-        capacity = heap.capacity
-        for j, f in enumerate(keys.tolist()):
-            est = None
-            for r in rows:
-                row = counters[r]
-                i = idx[r][j]
-                v = row[i] + 1
-                row[i] = v
-                if est is None or v < est:
-                    est = v
-            if f in pos:
-                heap.update(f, est)
-            elif len(heap) < capacity:
-                heap.push(f, est)
-            elif est > heap.entries[0][0]:
-                heap.replace_min(f, est)
-        self.n += int(keys.size)
+        self._admit((f,), (est,))
 
     def query(self, f: int) -> int:
-        return min(self.counters[r][self.hash.index(r, f, self.width)]
+        return min(self.counters.item(r, self.hash.index(r, f, self.width))
                    for r in range(self.rows))
 
-    def _estimates(self, keys: np.ndarray) -> list[int]:
+    def _running_estimates(self, keys: np.ndarray) -> np.ndarray:
+        """insert()'s estimate for each packet of the batch, updating the rows."""
+        return np.min([self._add_running(r, self.hash.index_array(r, keys, self.width), 1)
+                       for r in range(self.rows)], axis=0)
+
+    def _estimates(self, keys: np.ndarray) -> np.ndarray:
         """query() of each key, with one vectorised hash pass per row."""
-        cols = [[row[i] for i in self.hash.index_array(r, keys, self.width).tolist()]
-                for r, row in enumerate(self.counters)]
-        return [min(t) for t in zip(*cols)]
+        return np.min([self.counters[r, self.hash.index_array(r, keys, self.width)]
+                       for r in range(self.rows)], axis=0)
 
 
 class CountHeap(_SketchHeapBase):
@@ -270,69 +283,45 @@ class CountHeap(_SketchHeapBase):
 
     def insert(self, f: int) -> None:
         self.n += 1
+        counters = self.counters
         ests = []
         for r in range(self.rows):
-            row = self.counters[r]
             i = self.hash.index(r, f, self.width)
             s = self.hash.sign(self.rows + r, f)
-            row[i] += s
-            ests.append(s * row[i])
+            v = counters.item(r, i) + s
+            counters[r, i] = v
+            ests.append(s * v)
         ests.sort()
-        self._admit(f, max(ests[len(ests) // 2], 0))
-
-    def insert_trace(self, keys: np.ndarray) -> None:
-        """Bulk insert pass with vectorized row hashing and sign lookups."""
-        nrows = self.rows
-        idx = [self.hash.index_array(r, keys, self.width).tolist()
-               for r in range(nrows)]
-        signs = [
-            (2 * (self.hash.value_array(nrows + r, keys)
-                  & np.uint64(1)).astype(np.int64) - 1).tolist()
-            for r in range(nrows)
-        ]
-        counters = self.counters
-        rows = range(nrows)
-        heap = self.heap
-        pos = heap.pos
-        capacity = heap.capacity
-        for j, f in enumerate(keys.tolist()):
-            ests = []
-            for r in rows:
-                row = counters[r]
-                i = idx[r][j]
-                s = signs[r][j]
-                v = row[i] + s
-                row[i] = v
-                ests.append(s * v)
-            ests.sort()
-            est = ests[len(ests) // 2]
-            if est < 0:
-                est = 0
-            if f in pos:
-                heap.update(f, est)
-            elif len(heap) < capacity:
-                heap.push(f, est)
-            elif est > heap.entries[0][0]:
-                heap.replace_min(f, est)
-        self.n += int(keys.size)
+        self._admit((f,), (max(ests[len(ests) // 2], 0),))
 
     def query(self, f: int) -> int:
         ests = []
         for r in range(self.rows):
             i = self.hash.index(r, f, self.width)
             s = self.hash.sign(self.rows + r, f)
-            ests.append(s * self.counters[r][i])
+            ests.append(s * self.counters.item(r, i))
         ests.sort()
         return max(ests[len(ests) // 2], 0)
 
-    def _estimates(self, keys: np.ndarray) -> list[int]:
+    def _signs(self, r: int, keys: np.ndarray) -> np.ndarray:
+        """sign() of each key under counter row r, as int64 +1/-1."""
+        odd = self.hash.value_array(self.rows + r, keys) & np.uint64(1)
+        return 2 * odd.astype(np.int64) - 1
+
+    def _median(self, ests: list[np.ndarray]) -> np.ndarray:
+        """The upper median over rows, floored at 0, as query() takes it."""
+        return np.maximum(np.sort(ests, axis=0)[self.rows // 2], 0)
+
+    def _running_estimates(self, keys: np.ndarray) -> np.ndarray:
+        """insert()'s estimate for each packet of the batch, updating the rows."""
+        ests = []
+        for r in range(self.rows):
+            s = self._signs(r, keys)
+            ests.append(s * self._add_running(r, self.hash.index_array(r, keys, self.width), s))
+        return self._median(ests)
+
+    def _estimates(self, keys: np.ndarray) -> np.ndarray:
         """query() of each key, with one vectorised pass per index and sign row."""
-        one = np.uint64(1)
-        cols = [
-            [row[i] if odd else -row[i] for i, odd in zip(
-                self.hash.index_array(r, keys, self.width).tolist(),
-                (self.hash.value_array(self.rows + r, keys) & one).tolist())]
-            for r, row in enumerate(self.counters)
-        ]
-        mid = self.rows // 2
-        return [max(sorted(t)[mid], 0) for t in zip(*cols)]
+        return self._median([self._signs(r, keys) *
+                             self.counters[r, self.hash.index_array(r, keys, self.width)]
+                             for r in range(self.rows)])

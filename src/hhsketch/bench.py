@@ -20,7 +20,8 @@ from . import __version__
 from .baselines import CMHeap, CountHeap, SpaceSaving
 from .core import Trace, TraceLoadError, generate_zipf, load_trace, mix64, write_trace
 from .elastic import ElasticHH, ElasticStd
-from .metrics import MetricsBundle, Oracle, cdf, compute_accuracy, measure_throughput
+from .metrics import (MetricsBundle, Oracle, cdf, compute_accuracy, measure_throughput,
+                      true_heavy_hitters)
 
 ALGOS = ("elastic_hh", "elastic", "spacesaving", "cmheap", "countheap")
 
@@ -161,11 +162,10 @@ def run_single(cfg: ExperimentConfig, trace: Trace | None = None,
         mpps_mean = tr.mean
         mpps_std = tr.std
         noop_mean = tr.noop_mean
-    n_true = len([c for c in oracle.counts.values() if c >= threshold]) if threshold else 0
     return ResultRow(
         config=cfg.to_dict(),
         n_packets=len(trace),
-        n_true_hh=n_true,
+        n_true_hh=len(true_heavy_hitters(oracle, threshold)),
         threshold=threshold,
         metrics=bundle,
         mpps_mean=mpps_mean,
@@ -263,14 +263,18 @@ def emit(results: list[ResultRow], fmt: str, path: str | Path) -> None:
                 writer.writerow(["re", value, frac])
 
 
-def _add_config_args(p: argparse.ArgumentParser, need_algo: bool = True) -> None:
-    """A flag per ExperimentConfig field (dest and default are the field's), plus output flags."""
+def _add_config_args(p: argparse.ArgumentParser, single: bool = True) -> None:
+    """A flag per ExperimentConfig field (dest and default are the field's), plus output flags.
+
+    Only a single run takes --algo and --lambda; a sweep sets both per row."""
     d = {f.name: f.default for f in fields(ExperimentConfig)}
-    if need_algo:
+    if single:
         p.add_argument("--algo", required=True, choices=ALGOS)
+        p.add_argument("--lambda", dest="lam", type=float, default=d["lam"])
+    else:
+        p.set_defaults(lam=d["lam"])
     p.add_argument("--memory-kb", type=int, default=d["memory_kb"])
     p.add_argument("--threshold-frac", type=float, default=d["threshold_frac"])
-    p.add_argument("--lambda", dest="lam", type=float, default=d["lam"])
     p.add_argument("--cells-per-bucket", type=int, default=d["cells_per_bucket"])
     p.add_argument("--heavy-ratio", type=int, default=d["heavy_ratio"])
     p.add_argument("--light-ratio", type=int, default=d["light_ratio"])
@@ -309,14 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p_run)
 
     p_mem = sub.add_parser("sweep-memory", help="memory sweep over all algorithms")
-    _add_config_args(p_mem, need_algo=False)
+    _add_config_args(p_mem, single=False)
     p_mem.add_argument("--algos", default=",".join(ALGOS),
                        help="comma-separated subset of algorithms")
     p_mem.add_argument("--memories", default="100,200,300,400,500",
                        help="comma-separated memory sizes in KB")
 
     p_lam = sub.add_parser("sweep-lambda", help="lambda sweep for the tailored sketch")
-    _add_config_args(p_lam, need_algo=False)
+    _add_config_args(p_lam, single=False)
     p_lam.add_argument("--lambdas", default="0.25,0.5,1,2,4,8",
                        help="comma-separated lambda values")
 
@@ -377,7 +381,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

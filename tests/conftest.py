@@ -55,3 +55,14 @@ def random_trace(rng, max_packets=100_000, max_distinct=None):
     keys = rng.integers(1, distinct + 1, size=n).astype(np.uint32)
     from hhsketch import Trace
     return Trace(keys)
+
+
+# adversarial packet orders for the scalar-vs-bulk property tests
+ORDERS = {
+    "as_drawn": lambda keys: keys,
+    "sorted": sorted,
+    "reverse_sorted": lambda keys: sorted(keys, reverse=True),
+    "single_flow": lambda keys: [keys[0]] * len(keys),
+    "all_distinct": lambda keys: list(dict.fromkeys(keys)),
+    "bursty": lambda keys: [k for k in keys for _ in range(1 + k % 7)],
+}

@@ -239,5 +239,5 @@ class TestCountHeap:
         b = CountHeap(2048, seed=4, charge_heap=False)
         a.insert_trace(tr.keys)
         b.insert_trace(tr.keys)
-        assert a.counters == b.counters
+        assert np.array_equal(a.counters, b.counters)
         assert sorted(a.heap.items()) == sorted(b.heap.items())

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hhsketch
 from hhsketch import (
     ALGOS,
     ExperimentConfig,
@@ -214,6 +219,26 @@ class TestCli:
         with open(out) as fh:
             recs = list(csv.DictReader(fh))
         assert len(recs) == 4  # two lambdas + two standard references
+
+    def test_sweeps_take_no_lambda(self, capsys):
+        # a sweep sets lambda per row, so a --lambda there would be dropped
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-memory", "--lambda", "2", "--repeats", "0"])
+        assert exc.value.code == 2
+        assert "--lambda" in capsys.readouterr().err
+        # in sweep-lambda, argparse reads --lambda as the abbreviation of --lambdas
+        args = build_parser().parse_args(["sweep-lambda", "--lambda", "2"])
+        assert args.lambdas == "2" and args.lam is None
+
+    def test_python_m_hhsketch(self):
+        src = str(Path(hhsketch.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "hhsketch", "--help"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert "sweep-memory" in proc.stdout
+        assert proc.stderr == ""
 
     def test_bad_trace_path_exits_nonzero(self, capsys):
         assert main(["oracle", "--trace", "/nonexistent/file.bin"]) == 1

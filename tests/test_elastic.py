@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhsketch import ElasticHH, ElasticStd
+from conftest import ORDERS
 
 
 def state(s):
@@ -24,16 +25,6 @@ def test_key_zero_rejected_at_both_entry_points(cls):
         with pytest.raises(ValueError, match="reserved"):
             s.insert_trace(np.array(keys, dtype=np.uint32))
     assert state(s) == empty
-
-
-ORDERS = {
-    "as_drawn": lambda keys: keys,
-    "sorted": sorted,
-    "reverse_sorted": lambda keys: sorted(keys, reverse=True),
-    "single_flow": lambda keys: [keys[0]] * len(keys),
-    "all_distinct": lambda keys: list(dict.fromkeys(keys)),
-    "bursty": lambda keys: [k for k in keys for _ in range(1 + k % 7)],
-}
 
 
 @settings(max_examples=200, deadline=None)
