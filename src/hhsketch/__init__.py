@@ -3,8 +3,6 @@
 __version__ = "0.1.0"
 
 from .core import (
-    EMPTY_KEY,
-    REMAP_KEY,
     HashFamily,
     Trace,
     TraceLoadError,
@@ -34,8 +32,6 @@ from .bench import (
 )
 
 __all__ = [
-    "EMPTY_KEY",
-    "REMAP_KEY",
     "HashFamily",
     "Trace",
     "TraceLoadError",

@@ -93,9 +93,6 @@ class _TopKHeap:
         self.entries: list[list] = []  # [estimate, key]
         self.pos: dict[int, int] = {}
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def __contains__(self, key: int) -> bool:
         return key in self.pos
 

@@ -130,8 +130,7 @@ class ResultRow:
     version: str = __version__
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        return asdict(self)
 
 
 def run_single(cfg: ExperimentConfig, trace: Trace | None = None,
@@ -373,8 +372,7 @@ def main(argv: list[str] | None = None) -> int:
             heavy = sorted(((c, f) for f, c in oracle.counts.items() if c >= threshold),
                            reverse=True)
             print(f"packets={oracle.n} distinct={len(oracle.counts)} "
-                  f"threshold={threshold} heavy_hitters={len(heavy)} "
-                  f"remapped_zero_keys={trace.remapped}")
+                  f"threshold={threshold} heavy_hitters={len(heavy)}")
             for c, f in heavy[:args.top]:
                 print(f"{f}\t{c}")
     except (TraceLoadError, ValueError, OSError) as exc:

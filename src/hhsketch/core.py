@@ -1,8 +1,7 @@
 """Flow/trace primitives shared by all sketches and the benchmark harness.
 
-Flow keys are 32-bit unsigned integers (e.g. a source IPv4 address). Key 0 is
-reserved as the empty-cell sentinel and never appears in a loaded trace:
-ingestion remaps zeros to REMAP_KEY and counts them.
+Flow keys are 32-bit unsigned integers (e.g. a source IPv4 address). Every
+32-bit value, 0 included, is a flow: no key is reserved.
 """
 
 from __future__ import annotations
@@ -12,9 +11,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-EMPTY_KEY = 0
-REMAP_KEY = 0xFFFFFFFF
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -74,12 +70,9 @@ class HashFamily:
 
     def index_array(self, row: int, keys: np.ndarray, range_: int) -> np.ndarray:
         """Vectorized index(); element-wise identical to the scalar version."""
-        if not 0 <= row < self.rows:
-            raise ValueError(f"row {row} out of range [0, {self.rows})")
         if range_ < 1:
             raise ValueError("range must be >= 1")
-        x = _mix64_array(keys.astype(np.uint64) ^ np.uint64(self._row_seeds[row]))
-        return (x % np.uint64(range_)).astype(np.int64)
+        return (self.value_array(row, keys) % np.uint64(range_)).astype(np.int64)
 
     def value_array(self, row: int, keys: np.ndarray) -> np.ndarray:
         """Vectorized value(); element-wise identical to the scalar version."""
@@ -97,7 +90,6 @@ class Trace:
     """Ordered packet stream of 32-bit flow keys. Replay is deterministic."""
 
     keys: np.ndarray
-    remapped: int = 0  # number of zero keys remapped to REMAP_KEY at ingestion
 
     def __post_init__(self):
         keys = self.keys
@@ -113,13 +105,6 @@ class Trace:
 
     def __len__(self) -> int:
         return int(self.keys.size)
-
-
-def _remap_zeros(keys: np.ndarray) -> Trace:
-    remapped = int(np.count_nonzero(keys == EMPTY_KEY))
-    if remapped:
-        keys = np.where(keys == EMPTY_KEY, np.uint32(REMAP_KEY), keys)
-    return Trace(keys.astype(np.uint32), remapped)
 
 
 def load_trace(path: str | Path, fmt: str = "binary-u32") -> Trace:
@@ -155,7 +140,7 @@ def load_trace(path: str | Path, fmt: str = "binary-u32") -> Trace:
         keys = np.array(values, dtype=np.uint32)
     else:
         raise ValueError(f"unknown trace format {fmt!r}")
-    return _remap_zeros(keys)
+    return Trace(keys)
 
 
 def generate_zipf(n: int, distinct: int, skew: float, seed: int) -> Trace:
@@ -180,7 +165,7 @@ def generate_zipf(n: int, distinct: int, skew: float, seed: int) -> Trace:
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     keys = (np.searchsorted(cdf, u, side="right") + 1).astype(np.uint32)
-    return Trace(keys, 0)
+    return Trace(keys)
 
 
 def write_trace(trace: Trace, path: str | Path, fmt: str = "binary-u32") -> None:

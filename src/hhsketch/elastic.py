@@ -6,7 +6,8 @@ that finds its bucket full adds a negative vote, and `_full` decides the rest:
 votes exceed lambda times its votes, and the newcomer inherits them plus one.
 `ElasticStd`, the standard Elastic sketch (Yang et al., SIGCOMM 2018), evicts
 at >=, moves the evicted votes to a light part of 8-bit counters and counts
-every other miss there. Key 0 (`EMPTY_KEY`) marks empty cells: both reject it.
+every other miss there. A cell is empty exactly when its votes are 0, so every
+32-bit key, 0 included, is a flow.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from itertools import compress
 
 import numpy as np
 
-from .core import EMPTY_KEY, HashFamily
+from .core import HashFamily
 
 _VOTE_MAX = 0xFFFFFFFF
 _LIGHT_MAX = 255
-_EMPTY_KEY_ERROR = f"flow key {EMPTY_KEY} is reserved for empty cells"
 
 HIT = "hit"
 EMPTY_INSERT = "empty_insert"
@@ -40,11 +40,13 @@ def bucket_footprint(cells_per_bucket: int) -> int:
 class _ElasticBucket:
     """The heavy part both variants share; hash row 0 picks the bucket.
 
-    Cells fill left to right and are never vacated, so the first empty cell
-    ends a scan. A variant sizes the buckets, gives every cell's estimate in
-    `_estimates()` and supplies `_full(b, f, min_i, min_v, vm)`: packet f
-    found bucket b full, min_i is its first smallest cell, holding min_v
-    votes, and vm is the negative votes with this miss.
+    Cells fill left to right and are never vacated. An occupied cell holds at
+    least 1 vote, so a cell is empty exactly when its votes are 0, and the
+    first empty cell ends a scan. A variant sizes the buckets, gives every
+    cell's estimate in `_estimates()` and supplies
+    `_full(b, f, min_i, min_v, vm)`: packet f found bucket b full, min_i is
+    its first smallest cell, holding min_v votes, and vm is the negative
+    votes with this miss.
     """
 
     def __init__(self, memory_bytes: int, lam: float, cells_per_bucket: int,
@@ -56,7 +58,7 @@ class _ElasticBucket:
         self.cells_per_bucket = cells_per_bucket
         self.bucket_count = bucket_count
         self.hash = HashFamily(seed, rows=hash_rows)
-        self.ids = [EMPTY_KEY] * (bucket_count * cells_per_bucket)
+        self.ids = [0] * (bucket_count * cells_per_bucket)
         self.votes = [0] * len(self.ids)
         self.vote_minus = [0] * bucket_count
         self.hits = 0
@@ -67,8 +69,6 @@ class _ElasticBucket:
 
     def insert(self, f: int) -> str:
         """Insert one packet; returns "hit", "empty_insert" or `_full`'s outcome."""
-        if f == EMPTY_KEY:
-            raise ValueError(_EMPTY_KEY_ERROR)
         b = self.bucket_of(f)
         base = b * self.cells_per_bucket
         ids = self.ids
@@ -76,17 +76,16 @@ class _ElasticBucket:
         min_i = -1
         min_v = _VOTE_MAX + 1
         for i in range(base, base + self.cells_per_bucket):
-            fid = ids[i]
-            if fid == f:
-                votes[i] += 1
-                self.hits += 1
-                return HIT
-            if fid == EMPTY_KEY:
+            v = votes[i]
+            if not v:
                 ids[i] = f
                 votes[i] = 1
                 self.empty_inserts += 1
                 return EMPTY_INSERT
-            v = votes[i]
+            if ids[i] == f:
+                votes[i] = v + 1
+                self.hits += 1
+                return HIT
             if v < min_v:
                 min_v = v
                 min_i = i
@@ -99,12 +98,12 @@ class _ElasticBucket:
         """Index of f's cell, or -1 when f is not resident."""
         base = self.bucket_of(f) * self.cells_per_bucket
         ids = self.ids
+        votes = self.votes
         for i in range(base, base + self.cells_per_bucket):
-            fid = ids[i]
-            if fid == f:
-                return i
-            if fid == EMPTY_KEY:
+            if not votes[i]:
                 break
+            if ids[i] == f:
+                return i
         return -1
 
     def report(self, threshold: int) -> list[tuple[int, int]]:
@@ -112,8 +111,8 @@ class _ElasticBucket:
         in bucket order, then cell order."""
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
-        return [(f, est) for f, est in zip(self.ids, self._estimates())
-                if f != EMPTY_KEY and est >= threshold]
+        # an empty cell's estimate is 0, below every threshold
+        return [(f, est) for f, est in zip(self.ids, self._estimates()) if est >= threshold]
 
 
 class ElasticHH(_ElasticBucket):
@@ -145,8 +144,6 @@ class ElasticHH(_ElasticBucket):
 
     def insert_trace(self, keys: np.ndarray) -> None:
         """Bulk insert pass, equivalent to insert() per key."""
-        if not keys.all():
-            raise ValueError(_EMPTY_KEY_ERROR)
         buckets = self.hash.index_array(0, keys, self.bucket_count)
         c = self.cells_per_bucket
         ids = self.ids
@@ -159,17 +156,16 @@ class ElasticHH(_ElasticBucket):
             min_i = -1
             min_v = 4294967296
             for i in range(base, base + c):
-                fid = ids[i]
-                if fid == f:
-                    votes[i] += 1
-                    hits += 1
-                    break
-                if fid == EMPTY_KEY:
+                v = votes[i]
+                if not v:
                     ids[i] = f
                     votes[i] = 1
                     empty_inserts += 1
                     break
-                v = votes[i]
+                if ids[i] == f:
+                    votes[i] = v + 1
+                    hits += 1
+                    break
                 if v < min_v:
                     min_v = v
                     min_i = i
@@ -253,8 +249,6 @@ class ElasticStd(_ElasticBucket):
 
     def insert_trace(self, keys: np.ndarray) -> None:
         """Bulk insert pass, equivalent to insert() per key."""
-        if not keys.all():
-            raise ValueError(_EMPTY_KEY_ERROR)
         buckets = self.hash.index_array(0, keys, self.bucket_count)
         c = self.cells_per_bucket
         ids = self.ids
@@ -271,17 +265,16 @@ class ElasticStd(_ElasticBucket):
             min_i = -1
             min_v = 4294967296
             for i in range(base, base + c):
-                fid = ids[i]
-                if fid == f:
-                    votes[i] += 1
-                    hits += 1
-                    break
-                if fid == EMPTY_KEY:
+                v = votes[i]
+                if not v:
                     ids[i] = f
                     votes[i] = 1
                     empty_inserts += 1
                     break
-                v = votes[i]
+                if ids[i] == f:
+                    votes[i] = v + 1
+                    hits += 1
+                    break
                 if v < min_v:
                     min_v = v
                     min_i = i

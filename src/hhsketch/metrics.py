@@ -59,47 +59,30 @@ class MetricsBundle:
     throughput_mpps: list[float] | None = None
 
 
-def compute_accuracy(oracle: Oracle, report: list[tuple[int, int]], threshold: int,
-                     phi_mode: str = "true",
-                     cdf_all_reported: bool = False) -> MetricsBundle:
+def compute_accuracy(oracle: Oracle, report: list[tuple[int, int]],
+                     threshold: int) -> MetricsBundle:
     """Score a report against ground truth.
 
-    phi_mode "true" averages AAE/ARE over the full true heavy-hitter set with
-    estimate 0 for unreported flows (penalizes false negatives);
-    "intersection" averages over correctly reported flows only.
-    AE/RE samples cover correctly reported flows unless cdf_all_reported is
-    set, in which case every reported flow with a nonzero true count counts.
+    AAE/ARE average over the full true heavy-hitter set, with estimate 0 for
+    unreported flows (this penalizes false negatives). AE/RE samples cover
+    the correctly reported flows.
     """
     phi = true_heavy_hitters(oracle, threshold)
     if not phi:
         return MetricsBundle(None, None, None, None, None, no_heavy_hitters=True)
     est = dict(report)
-    if phi_mode == "true":
-        query_set = phi
-    elif phi_mode == "intersection":
-        query_set = phi & est.keys()
-    else:
-        raise ValueError(f"unknown phi_mode {phi_mode!r}")
-    if query_set:
-        abs_errs = [abs(oracle.true_count(f) - est.get(f, 0)) for f in query_set]
-        rel_errs = [abs(oracle.true_count(f) - est.get(f, 0)) / oracle.true_count(f)
-                    for f in query_set]
-        aae = sum(abs_errs) / len(query_set)
-        are = sum(rel_errs) / len(query_set)
-    else:
-        aae = 0.0
-        are = 0.0
+    abs_errs = [abs(oracle.true_count(f) - est.get(f, 0)) for f in phi]
+    rel_errs = [abs(oracle.true_count(f) - est.get(f, 0)) / oracle.true_count(f)
+                for f in phi]
+    aae = sum(abs_errs) / len(phi)
+    are = sum(rel_errs) / len(phi)
     correct = [f for f in est if f in phi]
     pr = len(correct) / len(est) if est else 0.0
     rr = len(correct) / len(phi)
     f1 = 2 * pr * rr / (pr + rr) if pr + rr > 0 else 0.0
-    if cdf_all_reported:
-        sample_flows = [f for f in est if oracle.true_count(f) > 0]
-    else:
-        sample_flows = correct
-    ae_samples = [abs(oracle.true_count(f) - est[f]) for f in sample_flows]
+    ae_samples = [abs(oracle.true_count(f) - est[f]) for f in correct]
     re_samples = [abs(oracle.true_count(f) - est[f]) / oracle.true_count(f)
-                  for f in sample_flows]
+                  for f in correct]
     return MetricsBundle(aae, are, pr, rr, f1, ae_samples, re_samples)
 
 

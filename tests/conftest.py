@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hhsketch import Oracle, generate_zipf
-from hhsketch.core import EMPTY_KEY
 
 
 @pytest.fixture(scope="session")
@@ -19,8 +18,8 @@ def default_oracle(default_trace):
 def fill_bucket(sketch, bucket, cells, vote_minus):
     """Force one bucket of an Elastic-style sketch into a known state.
 
-    cells is a list of (flow_id, vote) pairs, at most cells_per_bucket long;
-    remaining cells stay empty.
+    cells is a list of (flow_id, vote) pairs, at most cells_per_bucket long,
+    each with at least 1 vote; remaining cells are empty (0 votes).
     """
     c = sketch.cells_per_bucket
     assert len(cells) <= c
@@ -28,10 +27,11 @@ def fill_bucket(sketch, bucket, cells, vote_minus):
     for off in range(c):
         if off < len(cells):
             fid, vote = cells[off]
+            assert vote >= 1
             sketch.ids[base + off] = fid
             sketch.votes[base + off] = vote
         else:
-            sketch.ids[base + off] = EMPTY_KEY
+            sketch.ids[base + off] = 0
             sketch.votes[base + off] = 0
     sketch.vote_minus[bucket] = vote_minus
 
@@ -41,7 +41,7 @@ def bucket_state(sketch, bucket):
     c = sketch.cells_per_bucket
     base = bucket * c
     cells = [(sketch.ids[base + i], sketch.votes[base + i])
-             for i in range(c) if sketch.ids[base + i] != EMPTY_KEY]
+             for i in range(c) if sketch.votes[base + i]]
     return cells, sketch.vote_minus[bucket]
 
 
@@ -55,6 +55,15 @@ def random_trace(rng, max_packets=100_000, max_distinct=None):
     keys = rng.integers(1, distinct + 1, size=n).astype(np.uint32)
     from hhsketch import Trace
     return Trace(keys)
+
+
+def draw_keys(rng, n_flows, n, extremes):
+    """n packets spread uniformly over n_flows random 32-bit flows; extremes
+    adds flows 0 and 0xFFFFFFFF to the drawn ones."""
+    flows = rng.choice(2**32, size=n_flows, replace=False)
+    if extremes:
+        flows = np.union1d(flows, [0, 0xFFFFFFFF])
+    return flows[rng.integers(0, len(flows), n)].tolist()
 
 
 # adversarial packet orders for the scalar-vs-bulk property tests

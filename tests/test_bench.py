@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,13 +14,15 @@ import hhsketch
 from hhsketch import (
     ALGOS,
     ExperimentConfig,
+    Oracle,
     emit,
     generate_zipf,
+    load_trace,
     run_lambda_sweep,
     run_memory_sweep,
     run_single,
 )
-from hhsketch.bench import CSV_COLUMNS, _config_from_args, build_parser, main
+from hhsketch.bench import CSV_COLUMNS, _config_from_args, build_parser, main, sketch_factory
 
 SMALL = dict(memory_kb=8, zipf_n=20_000, zipf_distinct=2000, threshold_frac=0.001,
              repeats=0)
@@ -166,6 +169,40 @@ class TestEmission:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit([], "yaml", tmp_path / "x")
+
+
+@pytest.fixture
+def zero_and_max_trace(tmp_path):
+    path = tmp_path / "t.bin"
+    path.write_bytes(struct.pack("<4I", 0, 0xFFFFFFFF, 0, 7))
+    return path
+
+
+class TestKeyZero:
+    """Keys 0 and 0xFFFFFFFF are two flows through every entry point."""
+
+    WANT = {0: 2, 0xFFFFFFFF: 1, 7: 1}
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_oracle_and_every_sketch(self, zero_and_max_trace, algo, bulk):
+        trace = load_trace(zero_and_max_trace)
+        assert Oracle.from_trace(trace).counts == self.WANT
+        s = sketch_factory(ExperimentConfig(algo=algo, memory_kb=64))()
+        if bulk:
+            s.insert_trace(trace.keys)
+        else:
+            for f in trace.keys.tolist():
+                s.insert(f)
+        assert dict(s.report(1)) == self.WANT
+        assert {f: s.query(f) for f in self.WANT} == self.WANT
+
+    def test_oracle_cli_lists_key_zero(self, zero_and_max_trace, capsys):
+        assert main(["oracle", "--trace", str(zero_and_max_trace),
+                     "--threshold-frac", "0.5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "distinct=3" in lines[0]
+        assert lines[1:] == ["0\t2"]
 
 
 class TestCli:

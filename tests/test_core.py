@@ -5,8 +5,6 @@ import pytest
 import scipy.stats
 
 from hhsketch import (
-    EMPTY_KEY,
-    REMAP_KEY,
     HashFamily,
     Trace,
     TraceLoadError,
@@ -24,7 +22,6 @@ class TestTraceIO:
         write_trace(tr, p)
         back = load_trace(p)
         assert back.keys.tolist() == [1, 2, 3, 0xFFFFFFFE]
-        assert back.remapped == 0
 
     def test_binary_little_endian_layout(self, tmp_path):
         p = tmp_path / "t.bin"
@@ -65,13 +62,15 @@ class TestTraceIO:
         with pytest.raises(ValueError, match="format"):
             load_trace(tmp_path / "x", fmt="pcap")
 
-    def test_zero_keys_remapped(self, tmp_path):
-        p = tmp_path / "t.bin"
-        p.write_bytes(np.array([0, 5, 0], dtype="<u4").tobytes())
-        tr = load_trace(p)
-        assert tr.keys.tolist() == [REMAP_KEY, 5, REMAP_KEY]
-        assert tr.remapped == 2
-        assert EMPTY_KEY not in tr.keys
+    @pytest.mark.parametrize("fmt", ["binary-u32", "csv"])
+    def test_zero_and_max_keys_stay_distinct(self, tmp_path, fmt):
+        keys = [0, 0xFFFFFFFF, 0, 5]
+        p = tmp_path / "t"
+        if fmt == "csv":
+            p.write_text("".join(f"{k}\n" for k in keys))
+        else:
+            p.write_bytes(np.array(keys, dtype="<u4").tobytes())
+        assert load_trace(p, fmt=fmt).keys.tolist() == keys
 
     @pytest.mark.parametrize("bad", [[-1, 5], [7, 2**32], [2**33 + 7]])
     def test_out_of_range_keys_rejected(self, bad):

@@ -1,5 +1,5 @@
-"""Both Elastic variants: key 0 rejection, and scalar vs bulk insert over
-adversarial key orders."""
+"""Both Elastic variants: key 0 as an ordinary flow, and scalar vs bulk insert
+over adversarial key orders."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhsketch import ElasticHH, ElasticStd
-from conftest import ORDERS
+from hhsketch.elastic import EMPTY_INSERT, HIT
+from conftest import ORDERS, draw_keys
 
 
 def state(s):
@@ -16,15 +17,15 @@ def state(s):
 
 
 @pytest.mark.parametrize("cls", [ElasticHH, ElasticStd])
-def test_key_zero_rejected_at_both_entry_points(cls):
-    s = cls(1024)
-    empty = state(cls(1024))
-    with pytest.raises(ValueError, match="reserved"):
-        s.insert(0)
-    for keys in ([0, 0, 0, 5], [5, 7, 0]):
-        with pytest.raises(ValueError, match="reserved"):
-            s.insert_trace(np.array(keys, dtype=np.uint32))
-    assert state(s) == empty
+def test_key_zero_is_an_ordinary_flow_at_both_entry_points(cls):
+    a, b = cls(1024), cls(1024)
+    keys = [0, 0, 5, 0]
+    assert [a.insert(f) for f in keys] == [EMPTY_INSERT, HIT, EMPTY_INSERT, HIT]
+    b.insert_trace(np.array(keys, dtype=np.uint32))
+    assert state(a) == state(b)
+    assert (a.hits, a.empty_inserts) == (2, 2)
+    assert a.query(0) == 3
+    assert sorted(a.report(1)) == [(0, 3), (5, 1)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -35,15 +36,15 @@ def test_key_zero_rejected_at_both_entry_points(cls):
     order=st.sampled_from(sorted(ORDERS)),
     buckets=st.sampled_from([1, 2, 3, 5]),
     lam=st.sampled_from([None, 0.0, 0.5, 1.0, 8.0]),
+    extremes=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_scalar_and_bulk_insert_agree(cls, n_flows, n, order, buckets, lam, seed):
+def test_scalar_and_bulk_insert_agree(cls, n_flows, n, order, buckets, lam, extremes,
+                                      seed):
     # hypothesis lists stay too short to fill a 7-cell bucket or saturate a
-    # light counter, so the keys come from a seeded draw: n packets spread
-    # uniformly over n_flows random 32-bit flows
+    # light counter, so the keys come from a seeded draw
     rng = np.random.default_rng(seed)
-    flows = rng.choice(2**32 - 1, size=n_flows, replace=False) + 1
-    keys = ORDERS[order](flows[rng.integers(0, n_flows, n)].tolist())
+    keys = ORDERS[order](draw_keys(rng, n_flows, n, extremes))
     # smallest budget with exactly `buckets` 64-byte buckets (ElasticStd
     # gives a quarter of it to the light part)
     mem = 64 * buckets if cls is ElasticHH else -(-64 * buckets * 4 // 3)

@@ -107,6 +107,12 @@ class TestInsertOutcomes:
         s.light[s.light_index(5)] = 9
         assert s.query(5) == 1
 
+    def test_absent_key_zero_answered_from_light(self):
+        # an empty cell's id is 0, but with 0 votes it holds no flow
+        s = one_bucket()
+        s.light[s.light_index(0)] = 9
+        assert s.query(0) == 9
+
     def test_evicted_flow_answered_from_light(self):
         s = one_bucket()
         fill_bucket(s, 0, [(1, 10), (2, 9), (3, 30), (4, 7), (5, 21),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hhsketch import ALGOS, CMHeap, CountHeap, ExperimentConfig, SpaceSaving, generate_zipf
 from hhsketch.bench import sketch_factory
-from conftest import ORDERS
+from conftest import ORDERS, draw_keys
 
 
 def make(kind, rows, width, capacity, seed):
@@ -40,14 +40,14 @@ def state(s):
     n=st.sampled_from([1, 8, 100, 1000]),
     order=st.sampled_from(sorted(ORDERS)),
     cuts=st.lists(st.integers(0, 1000), max_size=6),
+    extremes=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 def test_batched_bulk_matches_scalar_insert(kind, rows, width, capacity, n_flows, n,
-                                            order, cuts, seed):
+                                            order, cuts, extremes, seed):
     # widths of at most 8 counters force collisions within every batch
     rng = np.random.default_rng(seed)
-    flows = rng.choice(2**32 - 1, size=n_flows, replace=False) + 1
-    keys = ORDERS[order](flows[rng.integers(0, n_flows, n)].tolist())
+    keys = ORDERS[order](draw_keys(rng, n_flows, n, extremes))
     a = make(kind, rows, width, capacity, seed)
     b = make(kind, rows, width, capacity, seed)
     for f in keys:

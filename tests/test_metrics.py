@@ -66,6 +66,8 @@ class TestAccuracy:
         assert m.pr == pytest.approx(2 / 3)
         assert m.rr == pytest.approx(2 / 3)
         assert m.f1 == pytest.approx(2 / 3)
+        # the false positive (true 1, estimate 10) adds no error sample
+        assert m.ae_samples == [0, 0]
 
     def test_perfect_report(self):
         o = Oracle({1: 100, 2: 50, 3: 5}, 155)
@@ -84,21 +86,6 @@ class TestAccuracy:
         m = compute_accuracy(o, [(1, 3)], threshold=50)
         assert m.no_heavy_hitters
         assert m.aae is None and m.f1 is None
-
-    def test_intersection_mode_ignores_misses(self):
-        o = Oracle({1: 10, 2: 20}, 30)
-        m = compute_accuracy(o, [(1, 13)], threshold=10, phi_mode="intersection")
-        assert m.aae == pytest.approx(3.0)
-        assert m.rr == 0.5  # recall still sees the miss
-        with pytest.raises(ValueError):
-            compute_accuracy(o, [], threshold=10, phi_mode="bogus")
-
-    def test_cdf_all_reported_includes_false_positives(self):
-        o = Oracle({1: 10, 2: 4}, 14)
-        rep = [(1, 10), (2, 9)]
-        assert compute_accuracy(o, rep, threshold=10).ae_samples == [0]
-        m = compute_accuracy(o, rep, threshold=10, cdf_all_reported=True)
-        assert sorted(m.ae_samples) == [0, 5]
 
 
 class TestCdf:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hhsketch import CMHeap, CountHeap, ElasticHH, ElasticStd, SpaceSaving
-from hhsketch.core import EMPTY_KEY
 from conftest import random_trace
 
 
@@ -15,7 +14,7 @@ def resident_keys(sketch):
         return list(sketch.counts)
     if isinstance(sketch, (CMHeap, CountHeap)):
         return [key for key, _ in sketch.heap.items()]
-    return [f for f in sketch.ids if f != EMPTY_KEY]
+    return [f for f, v in zip(sketch.ids, sketch.votes) if v]
 
 
 def reference_report(sketch, threshold):
