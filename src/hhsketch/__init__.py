@@ -15,7 +15,6 @@ from .baselines import CMHeap, CountHeap, SpaceSaving
 from .metrics import (
     MetricsBundle,
     Oracle,
-    ThroughputResult,
     cdf,
     compute_accuracy,
     measure_throughput,
@@ -46,7 +45,6 @@ __all__ = [
     "SpaceSaving",
     "MetricsBundle",
     "Oracle",
-    "ThroughputResult",
     "cdf",
     "compute_accuracy",
     "measure_throughput",

@@ -11,17 +11,19 @@ import argparse
 import csv
 import hashlib
 import json
+import math
+import statistics
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
 from .baselines import CMHeap, CountHeap, SpaceSaving
 from .core import Trace, TraceLoadError, generate_zipf, load_trace, mix64, write_trace
 from .elastic import ElasticHH, ElasticStd
-from .metrics import (MetricsBundle, Oracle, cdf, compute_accuracy, measure_throughput,
-                      true_heavy_hitters)
+from .metrics import (MetricsBundle, NoopSketch, Oracle, cdf, compute_accuracy,
+                      measure_throughput, true_heavy_hitters)
 
 ALGOS = ("elastic_hh", "elastic", "spacesaving", "cmheap", "countheap")
 
@@ -29,6 +31,11 @@ DEFAULT_LAMBDA = {"elastic_hh": 1.0, "elastic": 8.0}
 
 # default synthetic stand-in trace: skew-1.0 Zipf, 1M packets, 100k flows
 DEFAULT_ZIPF = dict(n=1_000_000, distinct=100_000, skew=1.0)
+
+
+def _check_threshold_frac(frac: float) -> None:
+    if not (frac > 0 and math.isfinite(frac)):
+        raise ValueError(f"threshold_frac must be > 0 and finite, got {frac}")
 
 
 @dataclass
@@ -54,8 +61,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algo not in ALGOS:
             raise ValueError(f"unknown algorithm {self.algo!r}; choose from {ALGOS}")
-        if not self.threshold_frac > 0:
-            raise ValueError(f"threshold_frac must be > 0, got {self.threshold_frac}")
+        _check_threshold_frac(self.threshold_frac)
+        if self.repeats < 0:
+            raise ValueError(f"repeats must be >= 0, got {self.repeats}")
 
     @property
     def memory_bytes(self) -> int:
@@ -156,11 +164,11 @@ def run_single(cfg: ExperimentConfig, trace: Trace | None = None,
     bundle = compute_accuracy(oracle, report, threshold)
     mpps_mean = mpps_std = noop_mean = None
     if cfg.repeats > 0:
-        tr = measure_throughput(factory, trace, cfg.repeats)
-        bundle.throughput_mpps = tr.samples
-        mpps_mean = tr.mean
-        mpps_std = tr.std
-        noop_mean = tr.noop_mean
+        mpps = measure_throughput({"sketch": factory, "noop": NoopSketch}, trace, cfg.repeats)
+        bundle.throughput_mpps = mpps["sketch"]
+        mpps_mean = statistics.fmean(mpps["sketch"])
+        mpps_std = statistics.stdev(mpps["sketch"]) if cfg.repeats > 1 else 0.0
+        noop_mean = statistics.fmean(mpps["noop"])
     return ResultRow(
         config=cfg.to_dict(),
         n_packets=len(trace),
@@ -175,35 +183,27 @@ def run_single(cfg: ExperimentConfig, trace: Trace | None = None,
     )
 
 
-def run_memory_sweep(base: ExperimentConfig, memories_kb: list[int],
-                     algos: tuple[str, ...] = ALGOS) -> list[ResultRow]:
-    """One ResultRow per (algorithm x memory); trace and oracle built once."""
+def _sweep(base: ExperimentConfig, changes: list[dict]) -> list[ResultRow]:
+    """One ResultRow per field-change dict applied to base. Every config is
+    checked before the trace and oracle are built, once for all rows."""
+    cfgs = [replace(base, **c) for c in changes]
     trace = resolve_trace(base)
     oracle = Oracle.from_trace(trace)
-    results = []
-    for mem in memories_kb:
-        for algo in algos:
-            d = base.to_dict()
-            d.update(algo=algo, memory_kb=mem, lam=None)
-            results.append(run_single(ExperimentConfig.from_dict(d), trace, oracle))
-    return results
+    return [run_single(cfg, trace, oracle) for cfg in cfgs]
+
+
+def run_memory_sweep(base: ExperimentConfig, memories_kb: list[int],
+                     algos: tuple[str, ...] = ALGOS) -> list[ResultRow]:
+    """One ResultRow per (algorithm x memory), each at its default lambda."""
+    return _sweep(base, [dict(algo=algo, memory_kb=mem, lam=None)
+                         for mem in memories_kb for algo in algos])
 
 
 def run_lambda_sweep(base: ExperimentConfig, lambdas: list[float]) -> list[ResultRow]:
     """Tailored sketch across the lambda list, plus the standard Elastic at
     lambda 8 and 1 as references."""
-    trace = resolve_trace(base)
-    oracle = Oracle.from_trace(trace)
-    results = []
-    for lam in lambdas:
-        d = base.to_dict()
-        d.update(algo="elastic_hh", lam=lam)
-        results.append(run_single(ExperimentConfig.from_dict(d), trace, oracle))
-    for lam in (8.0, 1.0):
-        d = base.to_dict()
-        d.update(algo="elastic", lam=lam)
-        results.append(run_single(ExperimentConfig.from_dict(d), trace, oracle))
-    return results
+    return _sweep(base, [dict(algo="elastic_hh", lam=lam) for lam in lambdas]
+                  + [dict(algo="elastic", lam=lam) for lam in (8.0, 1.0)])
 
 
 CSV_COLUMNS = ["algo", "memory_kb", "lambda", "threshold", "n_packets", "n_true_hh",
@@ -212,23 +212,24 @@ CSV_COLUMNS = ["algo", "memory_kb", "lambda", "threshold", "n_packets", "n_true_
 
 
 def _csv_record(row: ResultRow) -> dict:
-    cfg = row.config
+    """One CSV row; csv writes each None as an empty field."""
+    cfg = ExperimentConfig.from_dict(row.config)
     m = row.metrics
     return {
-        "algo": cfg["algo"],
-        "memory_kb": cfg["memory_kb"],
-        "lambda": cfg["lam"] if cfg["lam"] is not None else DEFAULT_LAMBDA.get(cfg["algo"], ""),
+        "algo": cfg.algo,
+        "memory_kb": cfg.memory_kb,
+        "lambda": cfg.effective_lambda,
         "threshold": row.threshold,
         "n_packets": row.n_packets,
         "n_true_hh": row.n_true_hh,
-        "aae": "" if m.aae is None else m.aae,
-        "are": "" if m.are is None else m.are,
-        "pr": "" if m.pr is None else m.pr,
-        "rr": "" if m.rr is None else m.rr,
-        "f1": "" if m.f1 is None else m.f1,
-        "mpps_mean": "" if row.mpps_mean is None else row.mpps_mean,
-        "mpps_std": "" if row.mpps_std is None else row.mpps_std,
-        "seed": cfg["seed"],
+        "aae": m.aae,
+        "are": m.are,
+        "pr": m.pr,
+        "rr": m.rr,
+        "f1": m.f1,
+        "mpps_mean": row.mpps_mean,
+        "mpps_std": row.mpps_std,
+        "seed": cfg.seed,
         "report_ms": row.report_seconds * 1000.0,
     }
 
@@ -350,9 +351,6 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "sweep-memory":
             base = _config_from_args(args, algo="elastic_hh")
             algos = tuple(_parse_list(args.algos, str))
-            for a in algos:
-                if a not in ALGOS:
-                    raise ValueError(f"unknown algorithm {a!r}")
             results = run_memory_sweep(base, _parse_list(args.memories, int), algos)
             emit(results, args.out_format, args.out)
             print(f"wrote {len(results)} results to {args.out}")
@@ -366,10 +364,11 @@ def main(argv: list[str] | None = None) -> int:
             write_trace(trace, args.out, args.trace_format)
             print(f"wrote {len(trace)} keys to {args.out}")
         elif args.command == "oracle":
+            _check_threshold_frac(args.threshold_frac)
             trace = load_trace(args.trace, args.trace_format)
             oracle = Oracle.from_trace(trace)
             threshold = oracle.threshold(args.threshold_frac)
-            heavy = sorted(((c, f) for f, c in oracle.counts.items() if c >= threshold),
+            heavy = sorted(((oracle.counts[f], f) for f in true_heavy_hitters(oracle, threshold)),
                            reverse=True)
             print(f"packets={oracle.n} distinct={len(oracle.counts)} "
                   f"threshold={threshold} heavy_hitters={len(heavy)}")

@@ -93,6 +93,8 @@ class Trace:
 
     def __post_init__(self):
         keys = self.keys
+        if keys.ndim != 1:
+            raise ValueError(f"trace keys must be a 1-D array; got shape {keys.shape}")
         if not np.issubdtype(keys.dtype, np.integer):
             raise ValueError(f"trace keys must be integers; got dtype {keys.dtype}")
         if keys.dtype != np.uint32:
@@ -130,12 +132,11 @@ def load_trace(path: str | Path, fmt: str = "binary-u32") -> Trace:
                 s = line.strip()
                 if not s:
                     continue
-                try:
-                    v = int(s, 10)
-                except ValueError:
-                    raise TraceLoadError(f"{path}:{lineno}: not an unsigned decimal: {s!r}") from None
-                if not 0 <= v <= 0xFFFFFFFF:
-                    raise TraceLoadError(f"{path}:{lineno}: key {v} outside 32-bit range")
+                if not (s.isascii() and s.isdigit()):
+                    raise TraceLoadError(f"{path}:{lineno}: not an unsigned decimal: {s!r}")
+                # int() refuses huge digit strings; over 10 significant digits is out of range
+                if len(s.lstrip("0")) > 10 or (v := int(s)) > 0xFFFFFFFF:
+                    raise TraceLoadError(f"{path}:{lineno}: key {s} outside 32-bit range")
                 values.append(v)
         keys = np.array(values, dtype=np.uint32)
     else:

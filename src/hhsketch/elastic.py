@@ -51,8 +51,8 @@ class _ElasticBucket:
 
     def __init__(self, memory_bytes: int, lam: float, cells_per_bucket: int,
                  bucket_count: int, seed: int, hash_rows: int):
-        if lam < 0:
-            raise ValueError("lambda must be >= 0")
+        if not lam >= 0:  # also rejects NaN, which would never evict
+            raise ValueError(f"lambda must be >= 0, got {lam}")
         self.memory_bytes = memory_bytes
         self.lam = float(lam)
         self.cells_per_bucket = cells_per_bucket

@@ -1,15 +1,15 @@
 """Exact-count oracle and the evaluation metrics.
 
 Accuracy metrics (AAE, ARE, PR, RR, F1, AE/RE samples) compare a sketch's
-heavy-hitter report against exact ground truth. Throughput is measured as an
-insertion-only pass in million packets per second, with a no-op calibration
-run so trace-iteration overhead is visible.
+heavy-hitter report against exact ground truth. Throughput is measured as
+insertion-only passes in million packets per second; timing `NoopSketch`
+alongside a sketch makes the trace-iteration overhead visible.
 """
 
 from __future__ import annotations
 
-import statistics
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +26,6 @@ class Oracle:
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "Oracle":
-        if len(trace) == 0:
-            return cls({}, 0)
         keys, counts = np.unique(trace.keys, return_counts=True)
         return cls(dict(zip(keys.tolist(), counts.tolist())), len(trace))
 
@@ -71,25 +69,20 @@ def compute_accuracy(oracle: Oracle, report: list[tuple[int, int]],
     if not phi:
         return MetricsBundle(None, None, None, None, None, no_heavy_hitters=True)
     est = dict(report)
-    abs_errs = [abs(oracle.true_count(f) - est.get(f, 0)) for f in phi]
-    rel_errs = [abs(oracle.true_count(f) - est.get(f, 0)) / oracle.true_count(f)
-                for f in phi]
-    aae = sum(abs_errs) / len(phi)
-    are = sum(rel_errs) / len(phi)
+    ae = {f: abs(oracle.counts[f] - est.get(f, 0)) for f in phi}
+    re = {f: ae[f] / oracle.counts[f] for f in phi}
+    aae = sum(ae.values()) / len(phi)
+    are = sum(re.values()) / len(phi)
     correct = [f for f in est if f in phi]
     pr = len(correct) / len(est) if est else 0.0
     rr = len(correct) / len(phi)
     f1 = 2 * pr * rr / (pr + rr) if pr + rr > 0 else 0.0
-    ae_samples = [abs(oracle.true_count(f) - est[f]) for f in correct]
-    re_samples = [abs(oracle.true_count(f) - est[f]) / oracle.true_count(f)
-                  for f in correct]
-    return MetricsBundle(aae, are, pr, rr, f1, ae_samples, re_samples)
+    return MetricsBundle(aae, are, pr, rr, f1, [ae[f] for f in correct],
+                         [re[f] for f in correct])
 
 
 def cdf(samples: list) -> list[tuple[float, float]]:
     """Empirical CDF as ascending (value, cumulative fraction) step points."""
-    if not samples:
-        return []
     xs = sorted(samples)
     n = len(xs)
     out = []
@@ -107,42 +100,23 @@ class NoopSketch:
             pass
 
 
-@dataclass
-class ThroughputResult:
-    samples: list[float]          # Mpps per repeat
-    noop_samples: list[float]     # Mpps of the no-op calibration runs
+def measure_throughput(factories: dict[str, Callable[[], object]], trace: Trace,
+                       repeats: int = 100) -> dict[str, list[float]]:
+    """Time full insert passes over the trace: {name: [Mpps per repeat]}.
 
-    @property
-    def mean(self) -> float:
-        return statistics.fmean(self.samples)
-
-    @property
-    def std(self) -> float:
-        return statistics.stdev(self.samples) if len(self.samples) > 1 else 0.0
-
-    @property
-    def noop_mean(self) -> float:
-        return statistics.fmean(self.noop_samples)
-
-
-def measure_throughput(factory, trace: Trace, repeats: int = 100) -> ThroughputResult:
-    """Time full insert passes over the trace with fresh sketches.
-
-    factory is a zero-argument callable returning a new sketch each repeat.
+    Each repeat builds a fresh sketch from every factory in turn and times
+    one pass of each, so drift in host speed falls on all of them alike.
     """
     if len(trace) == 0:
         raise ValueError("cannot measure throughput on an empty trace")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    n = len(trace)
-    keys = trace.keys
-
-    def timed(sketch) -> float:
-        t0 = time.perf_counter()
-        sketch.insert_trace(keys)
-        elapsed = time.perf_counter() - t0
-        return n / max(elapsed, 1e-9) / 1e6
-
-    samples = [timed(factory()) for _ in range(repeats)]
-    noop_samples = [timed(NoopSketch()) for _ in range(repeats)]
-    return ThroughputResult(samples, noop_samples)
+    samples = {name: [] for name in factories}
+    for _ in range(repeats):
+        for name, factory in factories.items():
+            sketch = factory()
+            t0 = time.perf_counter()
+            sketch.insert_trace(trace.keys)
+            elapsed = time.perf_counter() - t0
+            samples[name].append(len(trace) / max(elapsed, 1e-9) / 1e6)
+    return samples

@@ -6,6 +6,7 @@ quality, throughput direction, and determinism. Each test prints a single
 PASS/FAIL verdict line for its criterion.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -314,15 +315,16 @@ def test_criterion_7_throughput_direction():
     # overflow while the standard one must also maintain its light part
     trace = generate_zipf(200_000, 500_000, 0.5, 7)
     seed = ExperimentConfig(algo="elastic_hh").sketch_seed
-    hh = measure_throughput(lambda: ElasticHH(MEM_300KB, seed=seed),
-                            trace, repeats=20)
-    std = measure_throughput(lambda: ElasticStd(MEM_300KB, seed=seed),
-                             trace, repeats=20)
-    ratio = hh.mean / std.mean
-    ok = hh.mean >= 1.2 * std.mean
+    # the two variants take turns within each repeat, so host drift falls on both
+    mpps = measure_throughput({"tailored": lambda: ElasticHH(MEM_300KB, seed=seed),
+                               "standard": lambda: ElasticStd(MEM_300KB, seed=seed)},
+                              trace, repeats=20)
+    hh = statistics.fmean(mpps["tailored"])
+    std = statistics.fmean(mpps["standard"])
+    ok = hh >= 1.2 * std
     verdict(7, ok,
-            f"tailored {hh.mean:.3f} Mpps vs standard {std.mean:.3f} Mpps "
-            f"({ratio:.2f}x, >=20 repeats; absolute numbers not gated)")
+            f"tailored {hh:.3f} Mpps vs standard {std:.3f} Mpps "
+            f"({hh / std:.2f}x, 20 interleaved repeats; absolute numbers not gated)")
 
 
 # --------------------------------------------------------------------------

@@ -66,6 +66,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown config fields"):
             ExperimentConfig.from_dict({"algo": "elastic_hh", "bogus": 1})
 
+    @pytest.mark.parametrize("field, value", [("threshold_frac", float("inf")),
+                                              ("repeats", -4)])
+    def test_rejects_infinite_threshold_frac_and_negative_repeats(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(algo="elastic_hh", **{field: value})
+
     @pytest.mark.parametrize("frac", [0.0, -0.01])
     def test_rejects_nonpositive_threshold_frac(self, frac, capsys):
         with pytest.raises(ValueError, match="threshold_frac"):
@@ -143,6 +149,15 @@ class TestEmission:
         assert records[0]["lambda"] == "1.0"
         assert int(records[0]["n_packets"]) == 20_000
         assert records[0]["mpps_mean"] == ""
+
+    def test_csv_lambda_column(self, tmp_path):
+        rows = [run_single(ExperimentConfig(algo=algo, **SMALL))
+                for algo in ("spacesaving", "elastic")]
+        assert rows[1].config["lam"] is None
+        out = tmp_path / "r.csv"
+        emit(rows, "csv", out)
+        with open(out) as fh:
+            assert [r["lambda"] for r in csv.DictReader(fh)] == ["", "8.0"]
 
     def test_cdf_sibling_file(self, tmp_path):
         row = run_single(ExperimentConfig(algo="elastic_hh", **SMALL))
@@ -276,6 +291,28 @@ class TestCli:
         assert proc.returncode == 0
         assert "sweep-memory" in proc.stdout
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--threshold-frac", "inf", "threshold_frac must be > 0 and finite"),
+        ("--repeats", "-4", "repeats must be >= 0"),
+        ("--lambda", "nan", "lambda must be >= 0"),
+    ])
+    def test_bad_run_value_exits_with_message(self, flag, value, message, tmp_path, capsys):
+        assert main(["run", "--algo", "elastic_hh", "--zipf-n", "1000", "--zipf-distinct",
+                     "100", "--repeats", "0", flag, value,
+                     "--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("frac", ["0", "inf"])
+    def test_oracle_rejects_bad_threshold_frac(self, zero_and_max_trace, frac, capsys):
+        assert main(["oracle", "--trace", str(zero_and_max_trace),
+                     "--threshold-frac", frac]) == 1
+        captured = capsys.readouterr()
+        assert "threshold_frac must be > 0 and finite" in captured.err
+        assert captured.out == ""
 
     def test_bad_trace_path_exits_nonzero(self, capsys):
         assert main(["oracle", "--trace", "/nonexistent/file.bin"]) == 1

@@ -62,6 +62,18 @@ class TestTraceIO:
         with pytest.raises(ValueError, match="format"):
             load_trace(tmp_path / "x", fmt="pcap")
 
+    @pytest.mark.parametrize("bad, message", [
+        ("1_000", "not an unsigned decimal"),
+        ("+5", "not an unsigned decimal"),
+        ("\u0663", "not an unsigned decimal"),  # ARABIC-INDIC DIGIT THREE
+        ("1" * 5000, "32-bit"),
+    ])
+    def test_csv_takes_ascii_digits_only(self, tmp_path, bad, message):
+        p = tmp_path / "t.csv"
+        p.write_text(f"5\n{bad}\n", encoding="utf-8")
+        with pytest.raises(TraceLoadError, match=f":2: .*{message}"):
+            load_trace(p, fmt="csv")
+
     @pytest.mark.parametrize("fmt", ["binary-u32", "csv"])
     def test_zero_and_max_keys_stay_distinct(self, tmp_path, fmt):
         keys = [0, 0xFFFFFFFF, 0, 5]
@@ -81,6 +93,12 @@ class TestTraceIO:
     def test_non_integer_keys_rejected(self, dtype):
         with pytest.raises(ValueError, match="trace keys must be integers"):
             Trace(np.array([1.7, 2.2]).astype(dtype))
+
+    @pytest.mark.parametrize("shape", [(2, 2), ()])
+    def test_keys_must_be_one_dimensional(self, shape):
+        with pytest.raises(ValueError, match="1-D") as exc:
+            Trace(np.ones(shape, dtype=np.uint32))
+        assert str(shape) in str(exc.value)
 
     def test_in_range_int64_keys_convert(self):
         tr = Trace(np.array([0, 7, 2**32 - 1], dtype=np.int64))

@@ -28,6 +28,13 @@ def test_key_zero_is_an_ordinary_flow_at_both_entry_points(cls):
     assert sorted(a.report(1)) == [(0, 3), (5, 1)]
 
 
+@pytest.mark.parametrize("cls", [ElasticHH, ElasticStd])
+def test_nan_lambda_rejected(cls):
+    # a NaN lambda would never evict: every comparison with it is False
+    with pytest.raises(ValueError, match="lambda"):
+        cls(1024, lam=float("nan"))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     cls=st.sampled_from([ElasticHH, ElasticStd]),

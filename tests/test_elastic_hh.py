@@ -147,22 +147,6 @@ class TestInvariants:
             s.insert(77)
         assert s.query(77) == 1000
 
-    def test_insert_trace_matches_insert_loop(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            tr = random_trace(rng, max_packets=20_000)
-            mem = int(rng.integers(64, 8192))
-            a = ElasticHH(mem, seed=2)
-            b = ElasticHH(mem, seed=2)
-            for f in tr.keys.tolist():
-                a.insert(f)
-            b.insert_trace(tr.keys)
-            assert a.ids == b.ids
-            assert a.votes == b.votes
-            assert a.vote_minus == b.vote_minus
-            assert (a.hits, a.empty_inserts, a.replacements, a.discards) == \
-                   (b.hits, b.empty_inserts, b.replacements, b.discards)
-
     def test_vote_minus_saturates(self):
         s = one_bucket(lam=2**40)  # effectively never replace
         fill_bucket(s, 0, [(i, 1) for i in range(1, 8)], vote_minus=0xFFFFFFFF - 1)

@@ -148,25 +148,6 @@ class TestInvariants:
                 checked += 1
         assert checked > 0  # the conservation branch must actually run
 
-    def test_insert_trace_matches_insert_loop(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            tr = random_trace(rng, max_packets=20_000)
-            mem = int(rng.integers(86, 8192))
-            a = ElasticStd(mem, seed=2)
-            b = ElasticStd(mem, seed=2)
-            for f in tr.keys.tolist():
-                a.insert(f)
-            b.insert_trace(tr.keys)
-            assert a.ids == b.ids
-            assert a.votes == b.votes
-            assert a.flags == b.flags
-            assert a.vote_minus == b.vote_minus
-            assert a.light == b.light
-            assert a.light_clipped == b.light_clipped
-            assert (a.hits, a.empty_inserts, a.to_light, a.evictions) == \
-                   (b.hits, b.empty_inserts, b.to_light, b.evictions)
-
     def test_single_flow_exact(self):
         s = ElasticStd(86)
         for _ in range(500):

@@ -1,5 +1,7 @@
 """Exact oracle, accuracy scoring, error CDFs, and throughput measurement."""
 
+import statistics
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from hhsketch import (
     measure_throughput,
     true_heavy_hitters,
 )
+from hhsketch.metrics import NoopSketch
 
 
 def trace_of(keys):
@@ -111,16 +114,16 @@ class TestCdf:
 class TestThroughput:
     def test_reports_requested_repeats(self):
         tr = generate_zipf(2000, 200, 1.0, 2)
-        res = measure_throughput(lambda: ElasticHH(1024), tr, repeats=3)
-        assert len(res.samples) == 3
-        assert len(res.noop_samples) == 3
-        assert res.mean > 0
-        assert res.std >= 0.0
+        res = measure_throughput({"hh": lambda: ElasticHH(1024), "noop": NoopSketch},
+                                 tr, repeats=3)
+        assert list(res) == ["hh", "noop"]
+        assert all(len(samples) == 3 and min(samples) > 0 for samples in res.values())
 
     def test_noop_calibration_is_faster(self):
         tr = generate_zipf(20_000, 2000, 1.0, 2)
-        res = measure_throughput(lambda: ElasticHH(1024), tr, repeats=3)
-        assert res.noop_mean > res.mean
+        res = measure_throughput({"hh": lambda: ElasticHH(1024), "noop": NoopSketch},
+                                 tr, repeats=3)
+        assert statistics.fmean(res["noop"]) > statistics.fmean(res["hh"])
 
     def test_fresh_sketch_each_repeat(self):
         tr = generate_zipf(500, 50, 1.0, 2)
@@ -131,13 +134,27 @@ class TestThroughput:
             made.append(s)
             return s
 
-        measure_throughput(factory, tr, repeats=4)
+        measure_throughput({"hh": factory}, tr, repeats=4)
         assert len(made) == 4
         assert all(s.total_insertions == 500 for s in made)
 
+    def test_factories_take_turns(self):
+        tr = generate_zipf(100, 10, 1.0, 2)
+        built = []
+
+        def recording(name):
+            def factory():
+                built.append(name)
+                return NoopSketch()
+            return factory
+
+        measure_throughput({"a": recording("a"), "b": recording("b")}, tr, repeats=3)
+        assert built == ["a", "b", "a", "b", "a", "b"]
+
     def test_rejects_bad_input(self):
         tr = generate_zipf(10, 5, 1.0, 1)
-        with pytest.raises(ValueError):
-            measure_throughput(lambda: ElasticHH(64), Trace(np.array([], np.uint32)))
-        with pytest.raises(ValueError):
-            measure_throughput(lambda: ElasticHH(64), tr, repeats=0)
+        factories = {"hh": lambda: ElasticHH(64)}
+        with pytest.raises(ValueError, match="empty trace"):
+            measure_throughput(factories, Trace(np.array([], np.uint32)))
+        with pytest.raises(ValueError, match="repeats"):
+            measure_throughput(factories, tr, repeats=0)
