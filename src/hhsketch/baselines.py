@@ -157,16 +157,20 @@ class _TopKHeap:
 
 
 class _SketchHeapBase:
-    """Shared plumbing for the sketch + min-heap top-k trackers.
+    """A linear sketch of `rows` counter rows with a min-heap of the top-k flows.
 
-    Both sketches are linear: a packet adds a fixed step to one counter per
-    row, so a batch's row updates commute. insert_trace therefore updates
-    each row in one vectorised pass, and only the heap admission runs per
-    packet, in packet order, with each packet's running estimate.
+    A packet adds a fixed step to one counter per row, so a batch's row
+    updates commute. insert_trace therefore updates each row in one
+    vectorised pass, and only the heap admission runs per packet, in packet
+    order, with each packet's running estimate. A subclass states only its
+    step (`_sign` for one key, `_signs` for a batch) and its estimator over
+    the rows (`query` for one key, `_combine` for a batch).
     """
 
-    def __init__(self, memory_bytes: int, rows: int, heap_capacity: int,
-                 seed: int, charge_heap: bool, hash_rows: int):
+    _HASHES_PER_ROW = 1
+
+    def __init__(self, memory_bytes: int, rows: int = 3, heap_capacity: int = 4096,
+                 seed: int = 1, charge_heap: bool = True):
         if rows < 1:
             raise ValueError("rows must be >= 1")
         heap_bytes = heap_capacity * HEAP_NODE_BYTES if charge_heap else 0
@@ -179,11 +183,21 @@ class _SketchHeapBase:
         self.memory_bytes = memory_bytes
         self.rows = rows
         self.width = width
-        self.hash = HashFamily(seed, rows=hash_rows)
+        # hash rows 0..rows-1 index the counters; CountHeap's sign rows follow
+        self.hash = HashFamily(seed, rows=self._HASHES_PER_ROW * rows)
         # int64 so that no overflow mode appears; the budget charges COUNTER_BYTES
         self.counters = np.zeros((rows, width), dtype=np.int64)
         self.heap = _TopKHeap(heap_capacity)
         self.n = 0
+
+    def insert(self, f: int) -> None:
+        self.n += 1
+        counters = self.counters
+        for r in range(self.rows):
+            i = self.hash.index(r, f, self.width)
+            counters[r, i] = counters.item(r, i) + self._sign(r, f)
+        # after the row update, query() is this packet's running estimate
+        self._admit((f,), (self.query(f),))
 
     def _admit(self, keys, ests) -> None:
         """Offer each (key, estimate) to the top-k heap, in order."""
@@ -222,6 +236,20 @@ class _SketchHeapBase:
         out[order] = running
         return out
 
+    def _running_estimates(self, keys: np.ndarray) -> np.ndarray:
+        """insert()'s estimate for each packet of the batch, updating the rows."""
+        ests = []
+        for r in range(self.rows):
+            s = self._signs(r, keys)
+            ests.append(s * self._add_running(r, self.hash.index_array(r, keys, self.width), s))
+        return self._combine(ests)
+
+    def _estimates(self, keys: np.ndarray) -> np.ndarray:
+        """query() of each key, with one vectorised hash pass per row."""
+        return self._combine([self._signs(r, keys) *
+                              self.counters[r, self.hash.index_array(r, keys, self.width)]
+                              for r in range(self.rows)])
+
     def report(self, threshold: int) -> list[tuple[int, int]]:
         """Heap residents with estimates refreshed from the sketch, as
         query() computes them, in (-estimate, key) order."""
@@ -235,61 +263,36 @@ class _SketchHeapBase:
 
 
 class CMHeap(_SketchHeapBase):
-    """Count-Min sketch with a min-heap tracking the current top-k flows."""
+    """Count-Min sketch with a min-heap tracking the current top-k flows:
+    every step is +1, and the estimate is the row minimum."""
 
-    def __init__(self, memory_bytes: int, rows: int = 3, heap_capacity: int = 4096,
-                 seed: int = 1, charge_heap: bool = True):
-        super().__init__(memory_bytes, rows, heap_capacity, seed, charge_heap,
-                         hash_rows=rows)
+    def _sign(self, r: int, f: int) -> int:
+        return 1
 
-    def insert(self, f: int) -> None:
-        self.n += 1
-        counters = self.counters
-        est = None
-        for r in range(self.rows):
-            i = self.hash.index(r, f, self.width)
-            v = counters.item(r, i) + 1
-            counters[r, i] = v
-            if est is None or v < est:
-                est = v
-        self._admit((f,), (est,))
+    def _signs(self, r: int, keys: np.ndarray) -> int:
+        return 1
 
     def query(self, f: int) -> int:
         return min(self.counters.item(r, self.hash.index(r, f, self.width))
                    for r in range(self.rows))
 
-    def _running_estimates(self, keys: np.ndarray) -> np.ndarray:
-        """insert()'s estimate for each packet of the batch, updating the rows."""
-        return np.min([self._add_running(r, self.hash.index_array(r, keys, self.width), 1)
-                       for r in range(self.rows)], axis=0)
-
-    def _estimates(self, keys: np.ndarray) -> np.ndarray:
-        """query() of each key, with one vectorised hash pass per row."""
-        return np.min([self.counters[r, self.hash.index_array(r, keys, self.width)]
-                       for r in range(self.rows)], axis=0)
+    def _combine(self, ests: list[np.ndarray]) -> np.ndarray:
+        return np.min(ests, axis=0)
 
 
 class CountHeap(_SketchHeapBase):
-    """Count sketch (signed counters, median estimate) with a top-k min-heap."""
+    """Count sketch with a top-k min-heap: each step is the key's hashed
+    sign, and the estimate is the upper median over rows, floored at 0."""
 
-    def __init__(self, memory_bytes: int, rows: int = 3, heap_capacity: int = 4096,
-                 seed: int = 1, charge_heap: bool = True):
-        # rows 0..rows-1 index the counters, rows rows..2*rows-1 give the signs
-        super().__init__(memory_bytes, rows, heap_capacity, seed, charge_heap,
-                         hash_rows=2 * rows)
+    _HASHES_PER_ROW = 2
 
-    def insert(self, f: int) -> None:
-        self.n += 1
-        counters = self.counters
-        ests = []
-        for r in range(self.rows):
-            i = self.hash.index(r, f, self.width)
-            s = self.hash.sign(self.rows + r, f)
-            v = counters.item(r, i) + s
-            counters[r, i] = v
-            ests.append(s * v)
-        ests.sort()
-        self._admit((f,), (max(ests[len(ests) // 2], 0),))
+    def _sign(self, r: int, f: int) -> int:
+        return self.hash.sign(self.rows + r, f)
+
+    def _signs(self, r: int, keys: np.ndarray) -> np.ndarray:
+        """sign() of each key under counter row r, as int64 +1/-1."""
+        odd = self.hash.value_array(self.rows + r, keys) & np.uint64(1)
+        return 2 * odd.astype(np.int64) - 1
 
     def query(self, f: int) -> int:
         ests = []
@@ -300,25 +303,5 @@ class CountHeap(_SketchHeapBase):
         ests.sort()
         return max(ests[len(ests) // 2], 0)
 
-    def _signs(self, r: int, keys: np.ndarray) -> np.ndarray:
-        """sign() of each key under counter row r, as int64 +1/-1."""
-        odd = self.hash.value_array(self.rows + r, keys) & np.uint64(1)
-        return 2 * odd.astype(np.int64) - 1
-
-    def _median(self, ests: list[np.ndarray]) -> np.ndarray:
-        """The upper median over rows, floored at 0, as query() takes it."""
+    def _combine(self, ests: list[np.ndarray]) -> np.ndarray:
         return np.maximum(np.sort(ests, axis=0)[self.rows // 2], 0)
-
-    def _running_estimates(self, keys: np.ndarray) -> np.ndarray:
-        """insert()'s estimate for each packet of the batch, updating the rows."""
-        ests = []
-        for r in range(self.rows):
-            s = self._signs(r, keys)
-            ests.append(s * self._add_running(r, self.hash.index_array(r, keys, self.width), s))
-        return self._median(ests)
-
-    def _estimates(self, keys: np.ndarray) -> np.ndarray:
-        """query() of each key, with one vectorised pass per index and sign row."""
-        return self._median([self._signs(r, keys) *
-                             self.counters[r, self.hash.index_array(r, keys, self.width)]
-                             for r in range(self.rows)])

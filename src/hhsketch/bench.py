@@ -62,6 +62,9 @@ class ExperimentConfig:
         if self.algo not in ALGOS:
             raise ValueError(f"unknown algorithm {self.algo!r}; choose from {ALGOS}")
         _check_threshold_frac(self.threshold_frac)
+        if self.lam is not None and self.algo not in DEFAULT_LAMBDA:
+            raise ValueError(f"lambda applies to the Elastic sketches only; "
+                             f"{self.algo} has none, got {self.lam}")
         if self.repeats < 0:
             raise ValueError(f"repeats must be >= 0, got {self.repeats}")
 
@@ -185,8 +188,11 @@ def run_single(cfg: ExperimentConfig, trace: Trace | None = None,
 
 def _sweep(base: ExperimentConfig, changes: list[dict]) -> list[ResultRow]:
     """One ResultRow per field-change dict applied to base. Every config is
-    checked before the trace and oracle are built, once for all rows."""
+    checked, and its sketch built once so that its sizing is checked too,
+    before the trace and oracle are built, once for all rows."""
     cfgs = [replace(base, **c) for c in changes]
+    for cfg in cfgs:
+        sketch_factory(cfg)()
     trace = resolve_trace(base)
     oracle = Oracle.from_trace(trace)
     return [run_single(cfg, trace, oracle) for cfg in cfgs]

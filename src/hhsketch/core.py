@@ -127,16 +127,19 @@ def load_trace(path: str | Path, fmt: str = "binary-u32") -> Trace:
         keys = np.frombuffer(data, dtype="<u4")
     elif fmt == "csv":
         values = []
-        with open(path, "r") as fh:
+        # bytes, so that a byte outside ASCII is a bad line and not a decode
+        # error; bytes.isdigit() takes ASCII digits only
+        with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, 1):
                 s = line.strip()
                 if not s:
                     continue
-                if not (s.isascii() and s.isdigit()):
-                    raise TraceLoadError(f"{path}:{lineno}: not an unsigned decimal: {s!r}")
+                if not s.isdigit():
+                    text = s.decode("ascii", "backslashreplace")
+                    raise TraceLoadError(f"{path}:{lineno}: not an unsigned decimal: '{text}'")
                 # int() refuses huge digit strings; over 10 significant digits is out of range
-                if len(s.lstrip("0")) > 10 or (v := int(s)) > 0xFFFFFFFF:
-                    raise TraceLoadError(f"{path}:{lineno}: key {s} outside 32-bit range")
+                if len(s.lstrip(b"0")) > 10 or (v := int(s)) > 0xFFFFFFFF:
+                    raise TraceLoadError(f"{path}:{lineno}: key {s.decode()} outside 32-bit range")
                 values.append(v)
         keys = np.array(values, dtype=np.uint32)
     else:

@@ -13,6 +13,8 @@ import pytest
 import hhsketch
 from hhsketch import (
     ALGOS,
+    ElasticHH,
+    ElasticStd,
     ExperimentConfig,
     Oracle,
     emit,
@@ -45,6 +47,9 @@ class TestExperimentConfig:
     def test_per_algorithm_lambda_defaults(self):
         assert ExperimentConfig(algo="elastic_hh").effective_lambda == 1.0
         assert ExperimentConfig(algo="elastic").effective_lambda == 8.0
+        # the harness's default is the sketch class's own default
+        for algo, cls in (("elastic_hh", ElasticHH), ("elastic", ElasticStd)):
+            assert ExperimentConfig(algo=algo).effective_lambda == cls(8 * 1024).lam
         assert ExperimentConfig(algo="elastic_hh", lam=2.5).effective_lambda == 2.5
         assert ExperimentConfig(algo="spacesaving").effective_lambda is None
 
@@ -292,13 +297,20 @@ class TestCli:
         assert "sweep-memory" in proc.stdout
         assert proc.stderr == ""
 
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--threshold-frac", "inf", "threshold_frac must be > 0 and finite"),
-        ("--repeats", "-4", "repeats must be >= 0"),
-        ("--lambda", "nan", "lambda must be >= 0"),
+    # the elastic_hh cases keep the ids they had before the algo column
+    @pytest.mark.parametrize("algo, flag, value, message", [
+        pytest.param("elastic_hh", "--threshold-frac", "inf",
+                     "threshold_frac must be > 0 and finite",
+                     id="--threshold-frac-inf-threshold_frac must be > 0 and finite"),
+        pytest.param("elastic_hh", "--repeats", "-4", "repeats must be >= 0",
+                     id="--repeats--4-repeats must be >= 0"),
+        pytest.param("elastic_hh", "--lambda", "nan", "lambda must be >= 0",
+                     id="--lambda-nan-lambda must be >= 0"),
+        ("spacesaving", "--lambda", "nan", "spacesaving has none"),
     ])
-    def test_bad_run_value_exits_with_message(self, flag, value, message, tmp_path, capsys):
-        assert main(["run", "--algo", "elastic_hh", "--zipf-n", "1000", "--zipf-distinct",
+    def test_bad_run_value_exits_with_message(self, algo, flag, value, message, tmp_path,
+                                              capsys):
+        assert main(["run", "--algo", algo, "--zipf-n", "1000", "--zipf-distinct",
                      "100", "--repeats", "0", flag, value,
                      "--out", str(tmp_path / "r.csv")]) == 1
         err = capsys.readouterr().err
@@ -326,3 +338,15 @@ class TestCli:
         assert main(["sweep-memory", "--algos", "bloom", "--zipf-n", "100",
                      "--zipf-distinct", "10", "--repeats", "0",
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    def test_sweep_checks_every_sketch_before_any_work(self, tmp_path, monkeypatch, capsys):
+        # 16 KB cannot hold cmheap's 32 KB heap; no row may run before that shows
+        def no_trace(cfg):
+            raise AssertionError("the trace was built before every sketch was checked")
+        monkeypatch.setattr(hhsketch.bench, "resolve_trace", no_trace)
+        out = tmp_path / "x.csv"
+        assert main(["sweep-memory", "--zipf-n", "20000", "--repeats", "0",
+                     "--memories", "16,0", "--out", str(out)]) == 1
+        assert "memory 16384B cannot fit 3 counter rows after 32768B of heap" in \
+            capsys.readouterr().err
+        assert not out.exists()

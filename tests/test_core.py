@@ -67,10 +67,11 @@ class TestTraceIO:
         ("+5", "not an unsigned decimal"),
         ("\u0663", "not an unsigned decimal"),  # ARABIC-INDIC DIGIT THREE
         ("1" * 5000, "32-bit"),
+        (b"\xff", "not an unsigned decimal"),  # not UTF-8
     ])
     def test_csv_takes_ascii_digits_only(self, tmp_path, bad, message):
         p = tmp_path / "t.csv"
-        p.write_text(f"5\n{bad}\n", encoding="utf-8")
+        p.write_bytes(b"5\n" + (bad if isinstance(bad, bytes) else bad.encode()) + b"\n")
         with pytest.raises(TraceLoadError, match=f":2: .*{message}"):
             load_trace(p, fmt="csv")
 
