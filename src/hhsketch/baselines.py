@@ -72,9 +72,6 @@ class SpaceSaving:
     def query(self, f: int) -> int:
         return self.counts.get(f, 0)
 
-    def min_count(self) -> int:
-        return min(self.counts.values()) if self.counts else 0
-
     def report(self, threshold: int) -> list[tuple[int, int]]:
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
@@ -164,7 +161,8 @@ class _SketchHeapBase:
     vectorised pass, and only the heap admission runs per packet, in packet
     order, with each packet's running estimate. A subclass states only its
     step (`_sign` for one key, `_signs` for a batch) and its estimator over
-    the rows (`query` for one key, `_combine` for a batch).
+    the rows' signed counters (`_estimate` for one key, `_combine` for a
+    batch).
     """
 
     _HASHES_PER_ROW = 1
@@ -193,11 +191,20 @@ class _SketchHeapBase:
     def insert(self, f: int) -> None:
         self.n += 1
         counters = self.counters
+        ests = []
         for r in range(self.rows):
             i = self.hash.index(r, f, self.width)
-            counters[r, i] = counters.item(r, i) + self._sign(r, f)
-        # after the row update, query() is this packet's running estimate
-        self._admit((f,), (self.query(f),))
+            s = self._sign(r, f)
+            v = counters.item(r, i) + s
+            counters[r, i] = v
+            ests.append(s * v)
+        # the rows just written give query()'s value: the running estimate
+        self._admit((f,), (self._estimate(ests),))
+
+    def query(self, f: int) -> int:
+        return self._estimate([self._sign(r, f) *
+                               self.counters.item(r, self.hash.index(r, f, self.width))
+                               for r in range(self.rows)])
 
     def _admit(self, keys, ests) -> None:
         """Offer each (key, estimate) to the top-k heap, in order."""
@@ -272,9 +279,8 @@ class CMHeap(_SketchHeapBase):
     def _signs(self, r: int, keys: np.ndarray) -> int:
         return 1
 
-    def query(self, f: int) -> int:
-        return min(self.counters.item(r, self.hash.index(r, f, self.width))
-                   for r in range(self.rows))
+    def _estimate(self, ests: list[int]) -> int:
+        return min(ests)
 
     def _combine(self, ests: list[np.ndarray]) -> np.ndarray:
         return np.min(ests, axis=0)
@@ -294,14 +300,8 @@ class CountHeap(_SketchHeapBase):
         odd = self.hash.value_array(self.rows + r, keys) & np.uint64(1)
         return 2 * odd.astype(np.int64) - 1
 
-    def query(self, f: int) -> int:
-        ests = []
-        for r in range(self.rows):
-            i = self.hash.index(r, f, self.width)
-            s = self.hash.sign(self.rows + r, f)
-            ests.append(s * self.counters.item(r, i))
-        ests.sort()
-        return max(ests[len(ests) // 2], 0)
+    def _estimate(self, ests: list[int]) -> int:
+        return max(sorted(ests)[len(ests) // 2], 0)
 
     def _combine(self, ests: list[np.ndarray]) -> np.ndarray:
         return np.maximum(np.sort(ests, axis=0)[self.rows // 2], 0)

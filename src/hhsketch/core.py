@@ -185,11 +185,6 @@ def write_trace(trace: Trace, path: str | Path, fmt: str = "binary-u32") -> None
         raise ValueError(f"unknown trace format {fmt!r}")
 
 
-def harmonic(n: int, skew: float = 1.0) -> float:
-    """Generalized harmonic number sum_{r=1..n} 1/r**skew."""
-    return float(np.sum(np.arange(1, n + 1, dtype=np.float64) ** -skew))
-
-
 def threshold_for(frac: float, n: int) -> int:
     """Heavy-hitter threshold: ceil(frac * n), robust to float round-off,
     and at least 1 when frac and n are positive."""

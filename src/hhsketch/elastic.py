@@ -1,6 +1,7 @@
 """Elastic sketches: one bucket layout, two rules for a full bucket.
 
-A bucket holds (flow id, votes) cells and one negative-vote counter. A packet
+A bucket holds (flow id, votes) cells and one negative-vote counter. Both
+variants share the cell scan, the lookup and one bulk insert pass; a packet
 that finds its bucket full adds a negative vote, and `_full` decides the rest:
 `ElasticHH`, the tailored sketch, replaces the smallest flow once negative
 votes exceed lambda times its votes, and the newcomer inherits them plus one.
@@ -42,11 +43,13 @@ class _ElasticBucket:
 
     Cells fill left to right and are never vacated. An occupied cell holds at
     least 1 vote, so a cell is empty exactly when its votes are 0, and the
-    first empty cell ends a scan. A variant sizes the buckets, gives every
-    cell's estimate in `_estimates()` and supplies
+    first empty cell ends a scan. `insert()` (the reference) and
+    `insert_trace()` (the bulk pass) run the same scan and hand every full
+    bucket to the variant. A variant sizes the buckets, gives every cell's
+    estimate in `_estimates()`, answers `query()` and supplies
     `_full(b, f, min_i, min_v, vm)`: packet f found bucket b full, min_i is
     its first smallest cell, holding min_v votes, and vm is the negative
-    votes with this miss.
+    votes with this miss. `_full` writes the bucket and its own tallies.
     """
 
     def __init__(self, memory_bytes: int, lam: float, cells_per_bucket: int,
@@ -93,6 +96,46 @@ class _ElasticBucket:
         if vm < _VOTE_MAX:
             vm += 1
         return self._full(b, f, min_i, min_v, vm)
+
+    def insert_trace(self, keys: np.ndarray) -> None:
+        """Bulk insert pass, equivalent to insert() per key. The batch's
+        buckets are hashed in one vectorised call, and every name the loop
+        reads per packet is bound to a local: a global or attribute read per
+        packet costs several percent."""
+        buckets = self.hash.index_array(0, keys, self.bucket_count)
+        c = self.cells_per_bucket
+        ids = self.ids
+        votes = self.votes
+        vote_minus = self.vote_minus
+        full = self._full
+        vote_max = _VOTE_MAX
+        no_min = _VOTE_MAX + 1
+        hits = empty_inserts = 0
+        for f, b in zip(keys.tolist(), buckets.tolist()):
+            base = b * c
+            min_i = -1
+            min_v = no_min
+            for i in range(base, base + c):
+                v = votes[i]
+                if not v:
+                    ids[i] = f
+                    votes[i] = 1
+                    empty_inserts += 1
+                    break
+                if ids[i] == f:
+                    votes[i] = v + 1
+                    hits += 1
+                    break
+                if v < min_v:
+                    min_v = v
+                    min_i = i
+            else:
+                vm = vote_minus[b]
+                if vm < vote_max:
+                    vm += 1
+                full(b, f, min_i, min_v, vm)
+        self.hits += hits
+        self.empty_inserts += empty_inserts
 
     def _cell(self, f: int) -> int:
         """Index of f's cell, or -1 when f is not resident."""
@@ -142,50 +185,6 @@ class ElasticHH(_ElasticBucket):
         self.discards += 1
         return DISCARD
 
-    def insert_trace(self, keys: np.ndarray) -> None:
-        """Bulk insert pass, equivalent to insert() per key."""
-        buckets = self.hash.index_array(0, keys, self.bucket_count)
-        c = self.cells_per_bucket
-        ids = self.ids
-        votes = self.votes
-        vote_minus = self.vote_minus
-        lam = self.lam
-        hits = empty_inserts = replacements = discards = 0
-        for f, b in zip(keys.tolist(), buckets.tolist()):
-            base = b * c
-            min_i = -1
-            min_v = 4294967296
-            for i in range(base, base + c):
-                v = votes[i]
-                if not v:
-                    ids[i] = f
-                    votes[i] = 1
-                    empty_inserts += 1
-                    break
-                if ids[i] == f:
-                    votes[i] = v + 1
-                    hits += 1
-                    break
-                if v < min_v:
-                    min_v = v
-                    min_i = i
-            else:
-                vm = vote_minus[b]
-                if vm < _VOTE_MAX:
-                    vm += 1
-                if vm > lam * min_v:
-                    ids[min_i] = f
-                    votes[min_i] = min_v + 1
-                    vote_minus[b] = 0
-                    replacements += 1
-                else:
-                    vote_minus[b] = vm
-                    discards += 1
-        self.hits += hits
-        self.empty_inserts += empty_inserts
-        self.replacements += replacements
-        self.discards += discards
-
     def query(self, f: int) -> int:
         """Estimated size of flow f: its cell's votes, or 0 if absent."""
         i = self._cell(f)
@@ -225,91 +224,29 @@ class ElasticStd(_ElasticBucket):
     def light_index(self, f: int) -> int:
         return self.hash.index(1, f, self.light_size)
 
-    def _light_add(self, f: int, amount: int) -> None:
-        li = self.light_index(f)
+    def _full(self, b: int, f: int, min_i: int, min_v: int, vm: int) -> str:
+        ids = self.ids
+        if vm >= self.lam * min_v:
+            # the smallest flow's votes move to the light part
+            key, amount = ids[min_i], min_v
+            ids[min_i] = f
+            self.votes[min_i] = 1
+            self.flags[min_i] = True
+            self.vote_minus[b] = 0
+            self.evictions += 1
+            outcome = EVICTION
+        else:
+            key, amount = f, 1
+            self.vote_minus[b] = vm
+            self.to_light += 1
+            outcome = TO_LIGHT
+        li = self.light_index(key)
         cur = self.light[li]
         if amount > _LIGHT_MAX - cur:
             self.light_clipped = True
             amount = _LIGHT_MAX - cur
         self.light[li] = cur + amount
-
-    def _full(self, b: int, f: int, min_i: int, min_v: int, vm: int) -> str:
-        if vm >= self.lam * min_v:
-            self._light_add(self.ids[min_i], min_v)
-            self.ids[min_i] = f
-            self.votes[min_i] = 1
-            self.flags[min_i] = True
-            self.vote_minus[b] = 0
-            self.evictions += 1
-            return EVICTION
-        self.vote_minus[b] = vm
-        self._light_add(f, 1)
-        self.to_light += 1
-        return TO_LIGHT
-
-    def insert_trace(self, keys: np.ndarray) -> None:
-        """Bulk insert pass, equivalent to insert() per key."""
-        buckets = self.hash.index_array(0, keys, self.bucket_count)
-        c = self.cells_per_bucket
-        ids = self.ids
-        votes = self.votes
-        flags = self.flags
-        vote_minus = self.vote_minus
-        light = self.light
-        light_size = self.light_size
-        lam = self.lam
-        lhash = self.hash
-        hits = empty_inserts = to_light = evictions = 0
-        for f, b in zip(keys.tolist(), buckets.tolist()):
-            base = b * c
-            min_i = -1
-            min_v = 4294967296
-            for i in range(base, base + c):
-                v = votes[i]
-                if not v:
-                    ids[i] = f
-                    votes[i] = 1
-                    empty_inserts += 1
-                    break
-                if ids[i] == f:
-                    votes[i] = v + 1
-                    hits += 1
-                    break
-                if v < min_v:
-                    min_v = v
-                    min_i = i
-            else:
-                vm = vote_minus[b]
-                if vm < _VOTE_MAX:
-                    vm += 1
-                if vm >= lam * min_v:
-                    old_id = ids[min_i]
-                    li = lhash.index(1, old_id, light_size)
-                    cur = light[li]
-                    room = _LIGHT_MAX - cur
-                    if min_v > room:
-                        self.light_clipped = True
-                        light[li] = _LIGHT_MAX
-                    else:
-                        light[li] = cur + min_v
-                    ids[min_i] = f
-                    votes[min_i] = 1
-                    flags[min_i] = True
-                    vote_minus[b] = 0
-                    evictions += 1
-                else:
-                    vote_minus[b] = vm
-                    li = lhash.index(1, f, light_size)
-                    cur = light[li]
-                    if cur < _LIGHT_MAX:
-                        light[li] = cur + 1
-                    else:
-                        self.light_clipped = True
-                    to_light += 1
-        self.hits += hits
-        self.empty_inserts += empty_inserts
-        self.to_light += to_light
-        self.evictions += evictions
+        return outcome
 
     def query(self, f: int) -> int:
         """Heavy votes, plus the light counter if the cell saw an eviction;

@@ -36,6 +36,15 @@ def fill_bucket(sketch, bucket, cells, vote_minus):
     sketch.vote_minus[bucket] = vote_minus
 
 
+def insert_one(sketch, entry, f):
+    """Feed one packet through the named entry point: "insert", or
+    "insert_trace" with a one-key array."""
+    if entry == "insert":
+        sketch.insert(f)
+    else:
+        sketch.insert_trace(np.array([f], dtype=np.uint32))
+
+
 def bucket_state(sketch, bucket):
     """(list of (id, vote) for occupied cells, vote_minus) of one bucket."""
     c = sketch.cells_per_bucket

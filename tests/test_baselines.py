@@ -49,7 +49,7 @@ class TestSpaceSaving:
             assert sum(s.counts.values()) == len(tr)
             if len(s.counts) == s.capacity:
                 # min * k <= sum of counts = N
-                assert s.min_count() <= len(tr) / s.capacity
+                assert min(s.counts.values()) <= len(tr) / s.capacity
 
     def test_monitored_counts_overestimate(self):
         rng = np.random.default_rng(32)

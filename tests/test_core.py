@@ -12,7 +12,12 @@ from hhsketch import (
     load_trace,
     write_trace,
 )
-from hhsketch.core import harmonic, mix64, threshold_for
+from hhsketch.core import mix64, threshold_for
+
+
+def harmonic(n: int, skew: float = 1.0) -> float:
+    """Generalized harmonic number sum_{r=1..n} 1/r**skew."""
+    return float(np.sum(np.arange(1, n + 1, dtype=np.float64) ** -skew))
 
 
 class TestTraceIO:

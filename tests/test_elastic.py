@@ -1,5 +1,5 @@
-"""Both Elastic variants: key 0 as an ordinary flow, and scalar vs bulk insert
-over adversarial key orders."""
+"""Both Elastic variants: key 0 as an ordinary flow, and scalar vs batched bulk
+insert over adversarial key orders."""
 
 import numpy as np
 import pytest
@@ -43,11 +43,12 @@ def test_nan_lambda_rejected(cls):
     order=st.sampled_from(sorted(ORDERS)),
     buckets=st.sampled_from([1, 2, 3, 5]),
     lam=st.sampled_from([None, 0.0, 0.5, 1.0, 8.0]),
+    cuts=st.lists(st.integers(0, 10_000), max_size=6),
     extremes=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_scalar_and_bulk_insert_agree(cls, n_flows, n, order, buckets, lam, extremes,
-                                      seed):
+def test_scalar_and_bulk_insert_agree(cls, n_flows, n, order, buckets, lam, cuts,
+                                      extremes, seed):
     # hypothesis lists stay too short to fill a 7-cell bucket or saturate a
     # light counter, so the keys come from a seeded draw
     rng = np.random.default_rng(seed)
@@ -61,7 +62,13 @@ def test_scalar_and_bulk_insert_agree(cls, n_flows, n, order, buckets, lam, extr
     assert a.bucket_count == buckets
     for f in keys:
         a.insert(f)
-    b.insert_trace(np.array(keys, dtype=np.uint32))
+    # an empty batch and a one-packet batch first, then splits at the drawn
+    # cuts, so the bulk tallies must accumulate across calls
+    size = len(keys)
+    bounds = sorted([0, 0, 1, size, *(min(c, size) for c in cuts)])
+    arr = np.array(keys, dtype=np.uint32)
+    for lo, hi in zip(bounds, bounds[1:]):
+        b.insert_trace(arr[lo:hi])
     assert state(a) == state(b)
 
     packets = len(keys)

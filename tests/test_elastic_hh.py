@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hhsketch import ElasticHH, Oracle, bucket_footprint, generate_zipf, true_heavy_hitters
-from conftest import bucket_state, fill_bucket, random_trace
+from conftest import bucket_state, fill_bucket, insert_one, random_trace
 
 
 def one_bucket(lam=1.0):
@@ -147,12 +147,13 @@ class TestInvariants:
             s.insert(77)
         assert s.query(77) == 1000
 
-    def test_vote_minus_saturates(self):
+    @pytest.mark.parametrize("entry", ["insert", "insert_trace"])
+    def test_vote_minus_saturates(self, entry):
         s = one_bucket(lam=2**40)  # effectively never replace
         fill_bucket(s, 0, [(i, 1) for i in range(1, 8)], vote_minus=0xFFFFFFFF - 1)
-        s.insert(99)
+        insert_one(s, entry, 99)
         assert s.vote_minus[0] == 0xFFFFFFFF
-        s.insert(99)
+        insert_one(s, entry, 99)
         assert s.vote_minus[0] == 0xFFFFFFFF
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hhsketch import ElasticStd, Oracle, generate_zipf, true_heavy_hitters
-from conftest import bucket_state, fill_bucket, random_trace
+from conftest import bucket_state, fill_bucket, insert_one, random_trace
 
 
 def one_bucket(lam=8.0):
@@ -120,15 +120,16 @@ class TestInsertOutcomes:
         s.insert(9)
         assert s.query(4) == 7
 
-    def test_light_counter_saturates_at_255(self):
+    @pytest.mark.parametrize("entry", ["insert", "insert_trace"])
+    def test_light_counter_saturates_at_255(self, entry):
         s = one_bucket()
         li = s.light_index(123)
         fill_bucket(s, 0, [(i, 100) for i in range(1, 8)], vote_minus=0)
         s.light[li] = 254
-        s.insert(123)
+        insert_one(s, entry, 123)
         assert s.light[li] == 255
         assert not s.light_clipped
-        s.insert(123)
+        insert_one(s, entry, 123)
         assert s.light[li] == 255
         assert s.light_clipped
 
