@@ -1,4 +1,4 @@
-"""Streaming heavy-hitter detection sketches and benchmark harness."""
+"""Streaming heavy-hitter sketches and their benchmark harness; the imports below are the API."""
 
 __version__ = "0.1.0"
 
@@ -29,31 +29,3 @@ from .bench import (
     run_memory_sweep,
     run_single,
 )
-
-__all__ = [
-    "HashFamily",
-    "Trace",
-    "TraceLoadError",
-    "generate_zipf",
-    "load_trace",
-    "write_trace",
-    "ElasticHH",
-    "ElasticStd",
-    "bucket_footprint",
-    "CMHeap",
-    "CountHeap",
-    "SpaceSaving",
-    "MetricsBundle",
-    "Oracle",
-    "cdf",
-    "compute_accuracy",
-    "measure_throughput",
-    "true_heavy_hitters",
-    "ALGOS",
-    "ExperimentConfig",
-    "ResultRow",
-    "emit",
-    "run_lambda_sweep",
-    "run_memory_sweep",
-    "run_single",
-]

@@ -12,7 +12,7 @@ import heapq
 
 import numpy as np
 
-from .core import HashFamily
+from .core import HashFamily, check_key, key_array
 
 SS_ENTRY_BYTES = 12     # key + count + overestimation error, 4B each
 HEAP_NODE_BYTES = 8     # key + estimate
@@ -40,6 +40,10 @@ class SpaceSaving:
         self.n = 0
 
     def insert(self, f: int) -> None:
+        check_key(f)
+        self._insert(f)
+
+    def _insert(self, f: int) -> None:
         self.n += 1
         counts = self.counts
         c = counts.get(f)
@@ -65,8 +69,8 @@ class SpaceSaving:
             heapq.heapreplace(heap, (c0 + 1, f))
 
     def insert_trace(self, keys: np.ndarray) -> None:
-        insert = self.insert
-        for f in keys.tolist():
+        insert = self._insert
+        for f in key_array(keys).tolist():
             insert(f)
 
     def query(self, f: int) -> int:
@@ -189,6 +193,7 @@ class _SketchHeapBase:
         self.n = 0
 
     def insert(self, f: int) -> None:
+        check_key(f)
         self.n += 1
         counters = self.counters
         ests = []
@@ -221,6 +226,7 @@ class _SketchHeapBase:
                 heap.replace_min(f, est)
 
     def insert_trace(self, keys: np.ndarray) -> None:
+        keys = key_array(keys)
         self._admit(keys.tolist(), self._running_estimates(keys).tolist())
         self.n += int(keys.size)
 

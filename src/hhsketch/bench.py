@@ -15,22 +15,29 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .baselines import CMHeap, CountHeap, SpaceSaving
-from .core import Trace, TraceLoadError, generate_zipf, load_trace, mix64, write_trace
+from .core import (TRACE_FORMATS, Trace, TraceLoadError, generate_zipf, load_trace, mix64,
+                   write_trace)
 from .elastic import ElasticHH, ElasticStd
 from .metrics import (MetricsBundle, NoopSketch, Oracle, cdf, compute_accuracy,
                       measure_throughput, true_heavy_hitters)
 
-ALGOS = ("elastic_hh", "elastic", "spacesaving", "cmheap", "countheap")
-
-DEFAULT_LAMBDA = {"elastic_hh": 1.0, "elastic": 8.0}
-
-# default synthetic stand-in trace: skew-1.0 Zipf, 1M packets, 100k flows
-DEFAULT_ZIPF = dict(n=1_000_000, distinct=100_000, skew=1.0)
+# algorithm name -> its sketch class and the arguments that follow the byte
+# budget, from a config; ALGOS keeps this order
+_SKETCHES = {
+    "elastic_hh": (ElasticHH, lambda c: (c.effective_lambda, c.cells_per_bucket, c.sketch_seed)),
+    "elastic": (ElasticStd, lambda c: (c.effective_lambda, c.cells_per_bucket,
+                                       (c.heavy_ratio, c.light_ratio), c.sketch_seed)),
+    "spacesaving": (SpaceSaving, lambda c: ()),
+    "cmheap": (CMHeap, lambda c: (c.rows, c.heap_capacity, c.sketch_seed, c.charge_heap)),
+    "countheap": (CountHeap, lambda c: (c.rows, c.heap_capacity, c.sketch_seed, c.charge_heap)),
+}
+ALGOS = tuple(_SKETCHES)
 
 
 def _check_threshold_frac(frac: float) -> None:
@@ -40,29 +47,40 @@ def _check_threshold_frac(frac: float) -> None:
 
 @dataclass
 class ExperimentConfig:
-    algo: str
+    """One experiment. Each field is a CLI flag (see _add_config_args):
+    --<name> with dashes for underscores, of the field's type and default,
+    unless the field's metadata gives the flag's add_argument arguments."""
+
+    algo: str = field(metadata=dict(required=True, choices=ALGOS, per_row=True))
     memory_kb: int = 300
     threshold_frac: float = 0.0001
-    lam: float | None = None            # per-algorithm default when None
+    # the sketch class's DEFAULT_LAMBDA when None
+    lam: float | None = field(default=None, metadata=dict(flag="--lambda", type=float,
+                                                          per_row=True))
     cells_per_bucket: int = 7
     heavy_ratio: int = 3
     light_ratio: int = 1
     heap_capacity: int = 4096
     rows: int = 3
-    trace_path: str | None = None       # when None, the Zipf generator is used
-    trace_format: str = "binary-u32"
-    zipf_n: int = DEFAULT_ZIPF["n"]
-    zipf_distinct: int = DEFAULT_ZIPF["distinct"]
-    zipf_skew: float = DEFAULT_ZIPF["skew"]
+    trace_path: str | None = field(default=None, metadata=dict(
+        flag="--trace", help="trace file; omit to use the built-in Zipf generator"))
+    trace_format: str = field(default="binary-u32", metadata=dict(choices=TRACE_FORMATS))
+    # the default synthetic stand-in trace: skew-1.0 Zipf, 1M packets, 100k flows
+    zipf_n: int = 1_000_000
+    zipf_distinct: int = 100_000
+    zipf_skew: float = 1.0
     seed: int = 1
-    repeats: int = 100                  # throughput repeats; 0 skips timing
-    charge_heap: bool = True
+    repeats: int = field(default=100, metadata=dict(
+        type=int, help="throughput repeats; 0 skips the timing pass"))
+    charge_heap: bool = field(default=True, metadata=dict(
+        flag="--no-charge-heap", action="store_false",
+        help="exclude heap memory from the sketch budget"))
 
     def __post_init__(self):
         if self.algo not in ALGOS:
             raise ValueError(f"unknown algorithm {self.algo!r}; choose from {ALGOS}")
         _check_threshold_frac(self.threshold_frac)
-        if self.lam is not None and self.algo not in DEFAULT_LAMBDA:
+        if self.lam is not None and self.effective_lambda is None:
             raise ValueError(f"lambda applies to the Elastic sketches only; "
                              f"{self.algo} has none, got {self.lam}")
         if self.repeats < 0:
@@ -74,9 +92,11 @@ class ExperimentConfig:
 
     @property
     def effective_lambda(self) -> float | None:
-        if self.lam is not None:
-            return self.lam
-        return DEFAULT_LAMBDA.get(self.algo)
+        """lam, or the sketch class's default; None for a sketch without one."""
+        default = getattr(_SKETCHES[self.algo][0], "DEFAULT_LAMBDA", None)
+        if default is None or self.lam is None:
+            return default
+        return self.lam
 
     @property
     def sketch_seed(self) -> int:
@@ -107,21 +127,8 @@ def resolve_trace(cfg: ExperimentConfig) -> Trace:
 
 def sketch_factory(cfg: ExperimentConfig):
     """Zero-argument constructor for the configured sketch."""
-    mem = cfg.memory_bytes
-    lam = cfg.effective_lambda
-    seed = cfg.sketch_seed
-    if cfg.algo == "elastic_hh":
-        return lambda: ElasticHH(mem, lam, cfg.cells_per_bucket, seed)
-    if cfg.algo == "elastic":
-        return lambda: ElasticStd(mem, lam, cfg.cells_per_bucket,
-                                  (cfg.heavy_ratio, cfg.light_ratio), seed)
-    if cfg.algo == "spacesaving":
-        return lambda: SpaceSaving(mem)
-    if cfg.algo == "cmheap":
-        return lambda: CMHeap(mem, cfg.rows, cfg.heap_capacity, seed, cfg.charge_heap)
-    if cfg.algo == "countheap":
-        return lambda: CountHeap(mem, cfg.rows, cfg.heap_capacity, seed, cfg.charge_heap)
-    raise ValueError(f"unknown algorithm {cfg.algo!r}")
+    cls, args = _SKETCHES[cfg.algo]
+    return partial(cls, cfg.memory_bytes, *args(cfg))
 
 
 @dataclass
@@ -207,9 +214,10 @@ def run_memory_sweep(base: ExperimentConfig, memories_kb: list[int],
 
 def run_lambda_sweep(base: ExperimentConfig, lambdas: list[float]) -> list[ResultRow]:
     """Tailored sketch across the lambda list, plus the standard Elastic at
-    lambda 8 and 1 as references."""
+    its own default lambda and at the tailored sketch's, as references."""
+    refs = (ElasticStd.DEFAULT_LAMBDA, ElasticHH.DEFAULT_LAMBDA)
     return _sweep(base, [dict(algo="elastic_hh", lam=lam) for lam in lambdas]
-                  + [dict(algo="elastic", lam=lam) for lam in (8.0, 1.0)])
+                  + [dict(algo="elastic", lam=lam) for lam in refs])
 
 
 CSV_COLUMNS = ["algo", "memory_kb", "lambda", "threshold", "n_packets", "n_true_hh",
@@ -270,33 +278,18 @@ def emit(results: list[ResultRow], fmt: str, path: str | Path) -> None:
 
 
 def _add_config_args(p: argparse.ArgumentParser, single: bool = True) -> None:
-    """A flag per ExperimentConfig field (dest and default are the field's), plus output flags.
-
-    Only a single run takes --algo and --lambda; a sweep sets both per row."""
-    d = {f.name: f.default for f in fields(ExperimentConfig)}
-    if single:
-        p.add_argument("--algo", required=True, choices=ALGOS)
-        p.add_argument("--lambda", dest="lam", type=float, default=d["lam"])
-    else:
-        p.set_defaults(lam=d["lam"])
-    p.add_argument("--memory-kb", type=int, default=d["memory_kb"])
-    p.add_argument("--threshold-frac", type=float, default=d["threshold_frac"])
-    p.add_argument("--cells-per-bucket", type=int, default=d["cells_per_bucket"])
-    p.add_argument("--heavy-ratio", type=int, default=d["heavy_ratio"])
-    p.add_argument("--light-ratio", type=int, default=d["light_ratio"])
-    p.add_argument("--heap-capacity", type=int, default=d["heap_capacity"])
-    p.add_argument("--rows", type=int, default=d["rows"])
-    p.add_argument("--trace", dest="trace_path", default=d["trace_path"],
-                   help="trace file; omit to use the built-in Zipf generator")
-    p.add_argument("--trace-format", choices=["binary-u32", "csv"], default=d["trace_format"])
-    p.add_argument("--zipf-n", type=int, default=d["zipf_n"])
-    p.add_argument("--zipf-distinct", type=int, default=d["zipf_distinct"])
-    p.add_argument("--zipf-skew", type=float, default=d["zipf_skew"])
-    p.add_argument("--seed", type=int, default=d["seed"])
-    p.add_argument("--repeats", type=int, default=d["repeats"],
-                   help="throughput repeats; 0 skips the timing pass")
-    p.add_argument("--no-charge-heap", dest="charge_heap", action="store_false",
-                   default=d["charge_heap"], help="exclude heap memory from the sketch budget")
+    """A flag per ExperimentConfig field (dest and default are the field's),
+    plus output flags. Metadata may name the flag (`flag`) and mark the field
+    `per_row`: a sweep sets it per row, so only a single run takes its flag."""
+    for f in fields(ExperimentConfig):
+        kwargs = dict(f.metadata) or {"type": type(f.default)}
+        flag = kwargs.pop("flag", "--" + f.name.replace("_", "-"))
+        if f.default is not MISSING:
+            kwargs["default"] = f.default
+        if kwargs.pop("per_row", False) and not single:
+            p.set_defaults(**{f.name: kwargs.get("default")})
+        else:
+            p.add_argument(flag, dest=f.name, **kwargs)
     p.add_argument("--out", default="results.csv")
     p.add_argument("--format", dest="out_format", choices=["csv", "json"], default="csv")
 
@@ -330,46 +323,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_lam.add_argument("--lambdas", default="0.25,0.5,1,2,4,8",
                        help="comma-separated lambda values")
 
+    d = ExperimentConfig  # the defaults of the fields that these flags set
     p_gen = sub.add_parser("gen-trace", help="generate a synthetic Zipf trace file")
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--trace-format", choices=["binary-u32", "csv"], default="binary-u32")
-    p_gen.add_argument("--n", type=int, default=DEFAULT_ZIPF["n"])
-    p_gen.add_argument("--distinct", type=int, default=DEFAULT_ZIPF["distinct"])
-    p_gen.add_argument("--skew", type=float, default=DEFAULT_ZIPF["skew"])
-    p_gen.add_argument("--seed", type=int, default=1)
+    p_gen.add_argument("--trace-format", choices=TRACE_FORMATS, default=d.trace_format)
+    p_gen.add_argument("--n", type=int, default=d.zipf_n)
+    p_gen.add_argument("--distinct", type=int, default=d.zipf_distinct)
+    p_gen.add_argument("--skew", type=float, default=d.zipf_skew)
+    p_gen.add_argument("--seed", type=int, default=d.seed)
 
     p_or = sub.add_parser("oracle", help="exact-count pass over a trace")
     p_or.add_argument("--trace", required=True)
-    p_or.add_argument("--trace-format", choices=["binary-u32", "csv"], default="binary-u32")
-    p_or.add_argument("--threshold-frac", type=float, default=0.0001)
+    p_or.add_argument("--trace-format", choices=TRACE_FORMATS, default=d.trace_format)
+    p_or.add_argument("--threshold-frac", type=float, default=d.threshold_frac)
     p_or.add_argument("--top", type=int, default=10, help="print the top-N flows")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            cfg = _config_from_args(args)
-            emit([run_single(cfg)], args.out_format, args.out)
-            print(f"wrote 1 result to {args.out}")
-        elif args.command == "sweep-memory":
-            base = _config_from_args(args, algo="elastic_hh")
-            algos = tuple(_parse_list(args.algos, str))
-            results = run_memory_sweep(base, _parse_list(args.memories, int), algos)
-            emit(results, args.out_format, args.out)
-            print(f"wrote {len(results)} results to {args.out}")
-        elif args.command == "sweep-lambda":
-            base = _config_from_args(args, algo="elastic_hh")
-            results = run_lambda_sweep(base, _parse_list(args.lambdas, float))
-            emit(results, args.out_format, args.out)
-            print(f"wrote {len(results)} results to {args.out}")
-        elif args.command == "gen-trace":
+        if args.command == "gen-trace":
             trace = generate_zipf(args.n, args.distinct, args.skew, args.seed)
             write_trace(trace, args.out, args.trace_format)
             print(f"wrote {len(trace)} keys to {args.out}")
-        elif args.command == "oracle":
+            return 0
+        if args.command == "oracle":
             _check_threshold_frac(args.threshold_frac)
             trace = load_trace(args.trace, args.trace_format)
             oracle = Oracle.from_trace(trace)
@@ -380,6 +359,18 @@ def main(argv: list[str] | None = None) -> int:
                   f"threshold={threshold} heavy_hitters={len(heavy)}")
             for c, f in heavy[:args.top]:
                 print(f"{f}\t{c}")
+            return 0
+        # a sweep's base config is elastic_hh's; each row sets its own algorithm
+        cfg = _config_from_args(args, None if args.command == "run" else "elastic_hh")
+        if args.command == "run":
+            results = [run_single(cfg)]
+        elif args.command == "sweep-memory":
+            results = run_memory_sweep(cfg, _parse_list(args.memories, int),
+                                       tuple(_parse_list(args.algos, str)))
+        else:
+            results = run_lambda_sweep(cfg, _parse_list(args.lambdas, float))
+        emit(results, args.out_format, args.out)
+        print(f"wrote {len(results)} result{'s' * (len(results) != 1)} to {args.out}")
     except (TraceLoadError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

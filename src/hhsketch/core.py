@@ -14,6 +14,10 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_KEY_MAX = 0xFFFFFFFF
+
+# on-disk trace formats, as load_trace, write_trace and the CLI name them
+TRACE_FORMATS = ("binary-u32", "csv")
 
 
 class TraceLoadError(Exception):
@@ -85,6 +89,28 @@ class HashFamily:
         return 1 if self.value(row, key) & 1 else -1
 
 
+def check_key(f) -> None:
+    """ValueError unless f is an integer flow key in [0, 2**32)."""
+    if not (isinstance(f, (int, np.integer)) and 0 <= f <= _KEY_MAX):
+        raise ValueError(f"a flow key must be an integer in [0, {_KEY_MAX}]; got {f!r}")
+
+
+def key_array(keys) -> np.ndarray:
+    """keys as a 1-D uint32 array of flow keys, or ValueError. A 1-D uint32
+    array is returned as it is, after two attribute tests."""
+    keys = np.asarray(keys)
+    if keys.ndim != 1:
+        raise ValueError(f"trace keys must be a 1-D array; got shape {keys.shape}")
+    if keys.dtype == np.uint32:
+        return keys
+    if not np.issubdtype(keys.dtype, np.integer):
+        raise ValueError(f"trace keys must be integers; got dtype {keys.dtype}")
+    if keys.size and (keys.min() < 0 or keys.max() > _KEY_MAX):
+        raise ValueError(f"trace keys must lie in [0, {_KEY_MAX}]; "
+                         f"got min {keys.min()}, max {keys.max()}")
+    return keys.astype(np.uint32)
+
+
 @dataclass(frozen=True)
 class Trace:
     """Ordered packet stream of 32-bit flow keys. Replay is deterministic."""
@@ -92,18 +118,7 @@ class Trace:
     keys: np.ndarray
 
     def __post_init__(self):
-        keys = self.keys
-        if keys.ndim != 1:
-            raise ValueError(f"trace keys must be a 1-D array; got shape {keys.shape}")
-        if not np.issubdtype(keys.dtype, np.integer):
-            raise ValueError(f"trace keys must be integers; got dtype {keys.dtype}")
-        if keys.dtype != np.uint32:
-            if keys.size and (keys.min() < 0 or keys.max() > 0xFFFFFFFF):
-                raise ValueError(
-                    f"trace keys must lie in [0, {0xFFFFFFFF}]; "
-                    f"got min {keys.min()}, max {keys.max()}"
-                )
-            object.__setattr__(self, "keys", keys.astype(np.uint32))
+        object.__setattr__(self, "keys", key_array(self.keys))
 
     def __len__(self) -> int:
         return int(self.keys.size)
@@ -138,12 +153,12 @@ def load_trace(path: str | Path, fmt: str = "binary-u32") -> Trace:
                     text = s.decode("ascii", "backslashreplace")
                     raise TraceLoadError(f"{path}:{lineno}: not an unsigned decimal: '{text}'")
                 # int() refuses huge digit strings; over 10 significant digits is out of range
-                if len(s.lstrip(b"0")) > 10 or (v := int(s)) > 0xFFFFFFFF:
+                if len(s.lstrip(b"0")) > 10 or (v := int(s)) > _KEY_MAX:
                     raise TraceLoadError(f"{path}:{lineno}: key {s.decode()} outside 32-bit range")
                 values.append(v)
         keys = np.array(values, dtype=np.uint32)
     else:
-        raise ValueError(f"unknown trace format {fmt!r}")
+        raise ValueError(f"unknown trace format {fmt!r}; choose from {TRACE_FORMATS}")
     return Trace(keys)
 
 
@@ -160,8 +175,8 @@ def generate_zipf(n: int, distinct: int, skew: float, seed: int) -> Trace:
         raise ValueError("distinct must be >= 1")
     if distinct > 0xFFFFFFFE:
         raise ValueError("distinct exceeds the 32-bit key space")
-    if skew <= 0:
-        raise ValueError("skew must be > 0")
+    if not (skew > 0 and math.isfinite(skew)):
+        raise ValueError(f"skew must be > 0 and finite, got {skew}")
     ranks = np.arange(1, distinct + 1, dtype=np.float64)
     weights = ranks ** -skew
     cdf = np.cumsum(weights)
@@ -182,7 +197,7 @@ def write_trace(trace: Trace, path: str | Path, fmt: str = "binary-u32") -> None
             for k in trace.keys.tolist():
                 fh.write(f"{k}\n")
     else:
-        raise ValueError(f"unknown trace format {fmt!r}")
+        raise ValueError(f"unknown trace format {fmt!r}; choose from {TRACE_FORMATS}")
 
 
 def threshold_for(frac: float, n: int) -> int:

@@ -17,7 +17,7 @@ from itertools import compress
 
 import numpy as np
 
-from .core import HashFamily
+from .core import HashFamily, check_key, key_array
 
 _VOTE_MAX = 0xFFFFFFFF
 _LIGHT_MAX = 255
@@ -72,6 +72,7 @@ class _ElasticBucket:
 
     def insert(self, f: int) -> str:
         """Insert one packet; returns "hit", "empty_insert" or `_full`'s outcome."""
+        check_key(f)
         b = self.bucket_of(f)
         base = b * self.cells_per_bucket
         ids = self.ids
@@ -102,6 +103,7 @@ class _ElasticBucket:
         buckets are hashed in one vectorised call, and every name the loop
         reads per packet is bound to a local: a global or attribute read per
         packet costs several percent."""
+        keys = key_array(keys)
         buckets = self.hash.index_array(0, keys, self.bucket_count)
         c = self.cells_per_bucket
         ids = self.ids
@@ -161,7 +163,9 @@ class _ElasticBucket:
 class ElasticHH(_ElasticBucket):
     """Tailored heavy-part-only sketch, sized from a byte budget."""
 
-    def __init__(self, memory_bytes: int, lam: float = 1.0,
+    DEFAULT_LAMBDA = 1.0
+
+    def __init__(self, memory_bytes: int, lam: float = DEFAULT_LAMBDA,
                  cells_per_bucket: int = 7, seed: int = 1):
         fp = bucket_footprint(cells_per_bucket)
         if memory_bytes < fp:
@@ -197,7 +201,9 @@ class ElasticHH(_ElasticBucket):
 class ElasticStd(_ElasticBucket):
     """Standard Elastic sketch (heavy + light), sized from a byte budget."""
 
-    def __init__(self, memory_bytes: int, lam: float = 8.0,
+    DEFAULT_LAMBDA = 8.0
+
+    def __init__(self, memory_bytes: int, lam: float = DEFAULT_LAMBDA,
                  cells_per_bucket: int = 7, heavy_light_ratio: tuple[int, int] = (3, 1),
                  seed: int = 1):
         h, l = heavy_light_ratio

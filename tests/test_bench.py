@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -236,6 +237,29 @@ class TestCli:
         cfg = _config_from_args(build_parser().parse_args(argv), algo)
         assert cfg == ExperimentConfig(algo=algo or "cmheap")
 
+    @pytest.mark.parametrize("command", ["run", "sweep-memory", "sweep-lambda", "gen-trace",
+                                         "oracle"])
+    def test_every_subcommand_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: hhsketch {command}")
+
+    def test_run_help_names_a_flag_for_every_config_field(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        words = capsys.readouterr().out.split()
+        for f in fields(ExperimentConfig):
+            assert f.metadata.get("flag", "--" + f.name.replace("_", "-")) in words, f.name
+
+    def test_gen_trace_and_oracle_defaults_are_config_defaults(self):
+        d = ExperimentConfig(algo="elastic_hh")
+        gen = build_parser().parse_args(["gen-trace", "--out", "t.bin"])
+        assert (gen.n, gen.distinct, gen.skew, gen.seed, gen.trace_format) == \
+            (d.zipf_n, d.zipf_distinct, d.zipf_skew, d.seed, d.trace_format)
+        orc = build_parser().parse_args(["oracle", "--trace", "t.bin"])
+        assert (orc.threshold_frac, orc.trace_format) == (d.threshold_frac, d.trace_format)
+
     def test_no_charge_heap_flag(self):
         args = build_parser().parse_args(["run", "--algo", "cmheap", "--no-charge-heap"])
         assert _config_from_args(args).charge_heap is False
@@ -307,6 +331,7 @@ class TestCli:
         pytest.param("elastic_hh", "--lambda", "nan", "lambda must be >= 0",
                      id="--lambda-nan-lambda must be >= 0"),
         ("spacesaving", "--lambda", "nan", "spacesaving has none"),
+        ("elastic_hh", "--zipf-skew", "nan", "skew must be > 0 and finite"),
     ])
     def test_bad_run_value_exits_with_message(self, algo, flag, value, message, tmp_path,
                                               capsys):
@@ -317,6 +342,16 @@ class TestCli:
         assert message in err
         assert "Traceback" not in err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("skew", ["nan", "inf", "0"])
+    def test_gen_trace_rejects_bad_skew(self, skew, tmp_path, capsys):
+        out = tmp_path / "t.bin"
+        assert main(["gen-trace", "--out", str(out), "--n", "1000", "--distinct", "100",
+                     "--skew", skew]) == 1
+        captured = capsys.readouterr()
+        assert "skew must be > 0 and finite" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("frac", ["0", "inf"])
     def test_oracle_rejects_bad_threshold_frac(self, zero_and_max_trace, frac, capsys):

@@ -155,6 +155,10 @@ class TestZipfGenerator:
             generate_zipf(10, 10, 0.0, 1)
         with pytest.raises(ValueError):
             generate_zipf(10, 2**32, 1.0, 1)
+        # a NaN skew used to give a one-flow trace
+        for skew in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="skew must be > 0 and finite"):
+                generate_zipf(1000, 100, skew, 1)
 
 
 class TestHashFamily:

@@ -1,5 +1,5 @@
 """insert_trace against the scalar insert() loop for Space-Saving and the two
-sketch + heap trackers, and the empty batch for all five sketches."""
+sketch + heap trackers, and the empty batch and bad keys for all five sketches."""
 
 import pickle
 
@@ -68,4 +68,19 @@ def test_empty_batch_changes_nothing(algo, packets):
     s.insert_trace(generate_zipf(3000, 300, 1.0, 2).keys[:packets])
     before = pickle.dumps(s)
     s.insert_trace(np.array([], dtype=np.uint32))
+    assert pickle.dumps(s) == before
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("entry", ["insert", "insert_trace"])
+@pytest.mark.parametrize("bad", [-1, 2**32, 2**40, 1.5])
+def test_bad_key_rejected_and_state_unchanged(algo, entry, bad):
+    s = sketch_factory(ExperimentConfig(algo=algo, memory_kb=1, heap_capacity=16))()
+    s.insert_trace(generate_zipf(300, 30, 1.0, 2).keys)
+    before = pickle.dumps(s)
+    with pytest.raises(ValueError, match="key"):
+        if entry == "insert":
+            s.insert(bad)
+        else:
+            s.insert_trace(np.array([7, bad]))
     assert pickle.dumps(s) == before
