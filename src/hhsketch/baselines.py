@@ -12,7 +12,7 @@ import heapq
 
 import numpy as np
 
-from .core import HashFamily, check_key, key_array
+from .core import HashFamily, check_key, check_threshold, key_array
 
 SS_ENTRY_BYTES = 12     # key + count + overestimation error, 4B each
 HEAP_NODE_BYTES = 8     # key + estimate
@@ -37,14 +37,11 @@ class SpaceSaving:
         self.counts: dict[int, int] = {}
         self.errors: dict[int, int] = {}
         self._heap: list[tuple[int, int]] = []
-        self.n = 0
 
     def insert(self, f: int) -> None:
-        check_key(f)
-        self._insert(f)
+        self._insert(check_key(f))
 
     def _insert(self, f: int) -> None:
-        self.n += 1
         counts = self.counts
         c = counts.get(f)
         if c is not None:
@@ -74,11 +71,10 @@ class SpaceSaving:
             insert(f)
 
     def query(self, f: int) -> int:
-        return self.counts.get(f, 0)
+        return self.counts.get(check_key(f), 0)
 
     def report(self, threshold: int) -> list[tuple[int, int]]:
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
+        check_threshold(threshold)
         out = [(k, c) for k, c in self.counts.items() if c >= threshold]
         out.sort(key=lambda kc: (-kc[1], kc[0]))
         return out
@@ -190,11 +186,9 @@ class _SketchHeapBase:
         # int64 so that no overflow mode appears; the budget charges COUNTER_BYTES
         self.counters = np.zeros((rows, width), dtype=np.int64)
         self.heap = _TopKHeap(heap_capacity)
-        self.n = 0
 
     def insert(self, f: int) -> None:
-        check_key(f)
-        self.n += 1
+        f = check_key(f)
         counters = self.counters
         ests = []
         for r in range(self.rows):
@@ -207,6 +201,7 @@ class _SketchHeapBase:
         self._admit((f,), (self._estimate(ests),))
 
     def query(self, f: int) -> int:
+        f = check_key(f)
         return self._estimate([self._sign(r, f) *
                                self.counters.item(r, self.hash.index(r, f, self.width))
                                for r in range(self.rows)])
@@ -228,7 +223,6 @@ class _SketchHeapBase:
     def insert_trace(self, keys: np.ndarray) -> None:
         keys = key_array(keys)
         self._admit(keys.tolist(), self._running_estimates(keys).tolist())
-        self.n += int(keys.size)
 
     def _add_running(self, row: int, idx: np.ndarray, step) -> np.ndarray:
         """Add step (scalar or per packet) to counter idx[j] of the row for
@@ -266,8 +260,7 @@ class _SketchHeapBase:
     def report(self, threshold: int) -> list[tuple[int, int]]:
         """Heap residents with estimates refreshed from the sketch, as
         query() computes them, in (-estimate, key) order."""
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
+        check_threshold(threshold)
         keys = [e[1] for e in self.heap.entries]
         ests = self._estimates(np.array(keys, dtype=np.uint64)).tolist()
         out = [(k, est) for k, est in zip(keys, ests) if est >= threshold]

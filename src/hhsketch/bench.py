@@ -299,8 +299,10 @@ def _config_from_args(args, algo: str | None = None) -> ExperimentConfig:
         f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if f.name != "algo"})
 
 
-def _parse_list(spec: str, cast) -> list:
-    return [cast(x) for x in spec.split(",") if x.strip()]
+def _parse_list(spec: str, cast, flag: str) -> list:
+    if values := [cast(x) for x in spec.split(",") if x.strip()]:
+        return values
+    raise ValueError(f"{flag} lists no value; got {spec!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,10 +367,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             results = [run_single(cfg)]
         elif args.command == "sweep-memory":
-            results = run_memory_sweep(cfg, _parse_list(args.memories, int),
-                                       tuple(_parse_list(args.algos, str)))
+            results = run_memory_sweep(cfg, _parse_list(args.memories, int, "--memories"),
+                                       tuple(_parse_list(args.algos, str, "--algos")))
         else:
-            results = run_lambda_sweep(cfg, _parse_list(args.lambdas, float))
+            results = run_lambda_sweep(cfg, _parse_list(args.lambdas, float, "--lambdas"))
         emit(results, args.out_format, args.out)
         print(f"wrote {len(results)} result{'s' * (len(results) != 1)} to {args.out}")
     except (TraceLoadError, ValueError, OSError) as exc:

@@ -89,10 +89,19 @@ class HashFamily:
         return 1 if self.value(row, key) & 1 else -1
 
 
-def check_key(f) -> None:
-    """ValueError unless f is an integer flow key in [0, 2**32)."""
-    if not (isinstance(f, (int, np.integer)) and 0 <= f <= _KEY_MAX):
-        raise ValueError(f"a flow key must be an integer in [0, {_KEY_MAX}]; got {f!r}")
+def check_key(f) -> int:
+    """f as an int if it is an integer flow key in [0, 2**32), else ValueError."""
+    if type(f) is not int and isinstance(f, (int, np.integer)):
+        f = int(f)  # a numpy integer is the same flow as its int
+    if type(f) is int and 0 <= f <= _KEY_MAX:
+        return f
+    raise ValueError(f"a flow key must be an integer in [0, {_KEY_MAX}]; got {f!r}")
+
+
+def check_threshold(t) -> None:
+    """ValueError unless t is an integer report threshold of at least 1."""
+    if not (isinstance(t, (int, np.integer)) and t >= 1):
+        raise ValueError(f"threshold must be an integer >= 1; got {t!r}")
 
 
 def key_array(keys) -> np.ndarray:

@@ -17,7 +17,7 @@ from itertools import compress
 
 import numpy as np
 
-from .core import HashFamily, check_key, key_array
+from .core import HashFamily, check_key, check_threshold, key_array
 
 _VOTE_MAX = 0xFFFFFFFF
 _LIGHT_MAX = 255
@@ -72,7 +72,7 @@ class _ElasticBucket:
 
     def insert(self, f: int) -> str:
         """Insert one packet; returns "hit", "empty_insert" or `_full`'s outcome."""
-        check_key(f)
+        f = check_key(f)
         b = self.bucket_of(f)
         base = b * self.cells_per_bucket
         ids = self.ids
@@ -154,8 +154,7 @@ class _ElasticBucket:
     def report(self, threshold: int) -> list[tuple[int, int]]:
         """Resident (flow id, estimate) pairs with estimate >= threshold,
         in bucket order, then cell order."""
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
+        check_threshold(threshold)
         # an empty cell's estimate is 0, below every threshold
         return [(f, est) for f, est in zip(self.ids, self._estimates()) if est >= threshold]
 
@@ -174,10 +173,6 @@ class ElasticHH(_ElasticBucket):
         self.replacements = 0
         self.discards = 0
 
-    @property
-    def total_insertions(self) -> int:
-        return self.hits + self.empty_inserts + self.replacements + self.discards
-
     def _full(self, b: int, f: int, min_i: int, min_v: int, vm: int) -> str:
         if vm > self.lam * min_v:
             self.ids[min_i] = f
@@ -191,7 +186,7 @@ class ElasticHH(_ElasticBucket):
 
     def query(self, f: int) -> int:
         """Estimated size of flow f: its cell's votes, or 0 if absent."""
-        i = self._cell(f)
+        i = self._cell(check_key(f))
         return self.votes[i] if i >= 0 else 0
 
     def _estimates(self) -> list[int]:
@@ -257,6 +252,7 @@ class ElasticStd(_ElasticBucket):
     def query(self, f: int) -> int:
         """Heavy votes, plus the light counter if the cell saw an eviction;
         the light counter alone when f is not resident."""
+        f = check_key(f)
         i = self._cell(f)
         if i >= 0 and not self.flags[i]:
             return self.votes[i]

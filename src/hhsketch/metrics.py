@@ -93,7 +93,7 @@ def cdf(samples: list) -> list[tuple[float, float]]:
 
 
 class NoopSketch:
-    """Iterates the trace without sketching; calibrates timing overhead."""
+    """A bare tolist() loop that run_single times next to the sketch; nothing is subtracted."""
 
     def insert_trace(self, keys: np.ndarray) -> None:
         for _ in keys.tolist():

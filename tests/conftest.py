@@ -1,3 +1,6 @@
+import pickle
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,30 @@ def default_trace():
 @pytest.fixture(scope="session")
 def default_oracle(default_trace):
     return Oracle.from_trace(default_trace)
+
+
+@pytest.fixture
+def zero_and_max_trace(tmp_path):
+    """A binary trace file of keys 0, 0xFFFFFFFF, 0, 7."""
+    path = tmp_path / "t.bin"
+    path.write_bytes(struct.pack("<4I", 0, 0xFFFFFFFF, 0, 7))
+    return path
+
+
+def state(s):
+    """A sketch's whole state as bytes: two sketches in the same state pickle alike."""
+    return pickle.dumps(s)
+
+
+def feed_in_batches(sketch, keys, cuts):
+    """insert_trace the keys as an empty batch, a one-packet batch, then the
+    rest split at the cuts (clipped to the trace), so that a bulk pass must
+    carry its state and tallies across calls."""
+    size = len(keys)
+    bounds = sorted([0, 0, 1, size, *(min(c, size) for c in cuts)])
+    arr = np.array(keys, dtype=np.uint32)
+    for lo, hi in zip(bounds, bounds[1:]):
+        sketch.insert_trace(arr[lo:hi])
 
 
 def fill_bucket(sketch, bucket, cells, vote_minus):

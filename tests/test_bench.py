@@ -3,7 +3,6 @@
 import csv
 import json
 import os
-import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -25,7 +24,7 @@ from hhsketch import (
     run_memory_sweep,
     run_single,
 )
-from hhsketch.bench import CSV_COLUMNS, _config_from_args, build_parser, main, sketch_factory
+from hhsketch.bench import CSV_COLUMNS, _config_from_args, build_parser, main
 
 SMALL = dict(memory_kb=8, zipf_n=20_000, zipf_distinct=2000, threshold_frac=0.001,
              repeats=0)
@@ -192,31 +191,13 @@ class TestEmission:
             emit([], "yaml", tmp_path / "x")
 
 
-@pytest.fixture
-def zero_and_max_trace(tmp_path):
-    path = tmp_path / "t.bin"
-    path.write_bytes(struct.pack("<4I", 0, 0xFFFFFFFF, 0, 7))
-    return path
-
-
 class TestKeyZero:
-    """Keys 0 and 0xFFFFFFFF are two flows through every entry point."""
+    """Keys 0 and 0xFFFFFFFF are two flows to the oracle and its CLI;
+    tests/test_contract.py feeds the same file to every sketch."""
 
-    WANT = {0: 2, 0xFFFFFFFF: 1, 7: 1}
-
-    @pytest.mark.parametrize("algo", ALGOS)
-    @pytest.mark.parametrize("bulk", [False, True])
-    def test_oracle_and_every_sketch(self, zero_and_max_trace, algo, bulk):
+    def test_oracle_counts_both_extremes(self, zero_and_max_trace):
         trace = load_trace(zero_and_max_trace)
-        assert Oracle.from_trace(trace).counts == self.WANT
-        s = sketch_factory(ExperimentConfig(algo=algo, memory_kb=64))()
-        if bulk:
-            s.insert_trace(trace.keys)
-        else:
-            for f in trace.keys.tolist():
-                s.insert(f)
-        assert dict(s.report(1)) == self.WANT
-        assert {f: s.query(f) for f in self.WANT} == self.WANT
+        assert Oracle.from_trace(trace).counts == {0: 2, 0xFFFFFFFF: 1, 7: 1}
 
     def test_oracle_cli_lists_key_zero(self, zero_and_max_trace, capsys):
         assert main(["oracle", "--trace", str(zero_and_max_trace),
@@ -373,6 +354,21 @@ class TestCli:
         assert main(["sweep-memory", "--algos", "bloom", "--zipf-n", "100",
                      "--zipf-distinct", "10", "--repeats", "0",
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("sweep-memory", "--algos", ""),
+        ("sweep-memory", "--memories", ""),
+        ("sweep-lambda", "--lambdas", ",,"),
+    ])
+    def test_empty_list_flag_exits_before_any_work(self, command, flag, value, tmp_path,
+                                                   monkeypatch, capsys):
+        def no_trace(cfg):
+            raise AssertionError("the trace was built for an empty list")
+        monkeypatch.setattr(hhsketch.bench, "resolve_trace", no_trace)
+        out = tmp_path / "x.csv"
+        assert main([command, "--repeats", "0", flag, value, "--out", str(out)]) == 1
+        assert f"error: {flag} lists no value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_checks_every_sketch_before_any_work(self, tmp_path, monkeypatch, capsys):
         # 16 KB cannot hold cmheap's 32 KB heap; no row may run before that shows

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from hhsketch import ElasticHH, ElasticStd
 from hhsketch.elastic import EMPTY_INSERT, HIT
-from conftest import ORDERS, draw_keys
-
-
-def state(s):
-    """Every attribute of a sketch except its hash family."""
-    return {k: v for k, v in vars(s).items() if k != "hash"}
+from conftest import ORDERS, draw_keys, feed_in_batches, state
 
 
 @pytest.mark.parametrize("cls", [ElasticHH, ElasticStd])
@@ -62,18 +57,12 @@ def test_scalar_and_bulk_insert_agree(cls, n_flows, n, order, buckets, lam, cuts
     assert a.bucket_count == buckets
     for f in keys:
         a.insert(f)
-    # an empty batch and a one-packet batch first, then splits at the drawn
-    # cuts, so the bulk tallies must accumulate across calls
-    size = len(keys)
-    bounds = sorted([0, 0, 1, size, *(min(c, size) for c in cuts)])
-    arr = np.array(keys, dtype=np.uint32)
-    for lo, hi in zip(bounds, bounds[1:]):
-        b.insert_trace(arr[lo:hi])
+    feed_in_batches(b, keys, cuts)
     assert state(a) == state(b)
 
     packets = len(keys)
     if cls is ElasticHH:
-        assert a.total_insertions == packets
+        assert a.hits + a.empty_inserts + a.replacements + a.discards == packets
         # a replacement removes min votes and writes min + 1
         assert sum(a.votes) == a.hits + a.empty_inserts + a.replacements \
             == packets - a.discards

@@ -136,7 +136,7 @@ class TestThroughput:
 
         measure_throughput({"hh": factory}, tr, repeats=4)
         assert len(made) == 4
-        assert all(s.total_insertions == 500 for s in made)
+        assert all(s.hits + s.empty_inserts + s.replacements + s.discards == 500 for s in made)
 
     def test_factories_take_turns(self):
         tr = generate_zipf(100, 10, 1.0, 2)
