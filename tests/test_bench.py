@@ -193,7 +193,7 @@ class TestEmission:
 
 class TestKeyZero:
     """Keys 0 and 0xFFFFFFFF are two flows to the oracle and its CLI;
-    tests/test_contract.py feeds the same file to every sketch."""
+    tests/test_insert_trace.py feeds the same file to every sketch."""
 
     def test_oracle_counts_both_extremes(self, zero_and_max_trace):
         trace = load_trace(zero_and_max_trace)
