@@ -300,7 +300,14 @@ def _config_from_args(args, algo: str | None = None) -> ExperimentConfig:
 
 
 def _parse_list(spec: str, cast, flag: str) -> list:
-    if values := [cast(x) for x in spec.split(",") if x.strip()]:
+    values = []
+    for item in filter(str.strip, spec.split(",")):
+        try:
+            values.append(cast(item))
+        except ValueError:
+            raise ValueError(f"{flag} item {item.strip()!r} is not a valid "
+                             f"{cast.__name__}") from None
+    if values:
         return values
     raise ValueError(f"{flag} lists no value; got {spec!r}")
 

@@ -58,13 +58,14 @@ class HashFamily:
             raise ValueError("rows must be >= 1")
         self.seed = seed & _MASK64
         self.rows = rows
-        self._row_seeds = [mix64(self.seed + (r + 1) * _GOLDEN) for r in range(rows)]
+        # row r hashes a key as mix64(row_seeds[r] ^ key)
+        self.row_seeds = [mix64(self.seed + (r + 1) * _GOLDEN) for r in range(rows)]
 
     def value(self, row: int, key: int) -> int:
         """Full 64-bit hash of key under the given row."""
         if not 0 <= row < self.rows:
             raise ValueError(f"row {row} out of range [0, {self.rows})")
-        return mix64(self._row_seeds[row] ^ key)
+        return mix64(self.row_seeds[row] ^ key)
 
     def index(self, row: int, key: int, range_: int) -> int:
         """Hash of key mapped into [0, range_)."""
@@ -82,7 +83,7 @@ class HashFamily:
         """Vectorized value(); element-wise identical to the scalar version."""
         if not 0 <= row < self.rows:
             raise ValueError(f"row {row} out of range [0, {self.rows})")
-        return _mix64_array(keys.astype(np.uint64) ^ np.uint64(self._row_seeds[row]))
+        return _mix64_array(keys.astype(np.uint64) ^ np.uint64(self.row_seeds[row]))
 
     def sign(self, row: int, key: int) -> int:
         """+1 or -1, from the hash parity of the given row."""
@@ -91,8 +92,9 @@ class HashFamily:
 
 def check_key(f) -> int:
     """f as an int if it is an integer flow key in [0, 2**32), else ValueError."""
-    if type(f) is not int and isinstance(f, (int, np.integer)):
-        f = int(f)  # a numpy integer is the same flow as its int
+    # a numpy integer is the same flow as its int; a bool is no flow key
+    if type(f) is not int and type(f) is not bool and isinstance(f, (int, np.integer)):
+        f = int(f)
     if type(f) is int and 0 <= f <= _KEY_MAX:
         return f
     raise ValueError(f"a flow key must be an integer in [0, {_KEY_MAX}]; got {f!r}")

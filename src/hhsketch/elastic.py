@@ -9,11 +9,24 @@ votes exceed lambda times its votes, and the newcomer inherits them plus one.
 at >=, moves the evicted votes to a light part of 8-bit counters and counts
 every other miss there. A cell is empty exactly when its votes are 0, so every
 32-bit key, 0 included, is a flow.
+
+The state is fixed-width, as the memory accounting charges it: ids, votes and
+negative votes are array('I'), flags and light counters bytearrays. The bulk
+pass is one C function for both variants (elastic_kernel.c), compiled on first
+import into `_native/` beside this file and loaded with ctypes; `NATIVE` is
+its handle, or None when it cannot be built, and then `insert_trace` loops
+`insert()`, the reference both paths must match.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+import ctypes
+import hashlib
+import os
+import subprocess
+import warnings
+from array import array
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +42,59 @@ DISCARD = "discard"
 TO_LIGHT = "to_light"
 EVICTION = "eviction"
 
+_SOURCE = Path(__file__).with_name("elastic_kernel.c")
+_CACHE = Path(__file__).with_name("_native")
+_CC = ("cc", "-std=c99", "-O2", "-shared", "-fPIC")
+_PTR = ctypes.c_void_p
+_U64 = ctypes.c_uint64
+
+
+def load_kernel(cache: Path = _CACHE):
+    """ctypes handle of elastic_kernel.c, or None with one warning when it
+    cannot be built or loaded. The library is compiled once into `cache`,
+    under a name hashed from the source and the compiler command, through a
+    temporary file renamed into place, so concurrent builds never load a
+    partial file and a stale build is never loaded."""
+    try:
+        tag = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CC).encode()).hexdigest()[:16]
+        lib = cache / f"elastic-{tag}.so"
+        if not lib.is_file():
+            cache.mkdir(exist_ok=True)
+            tmp = cache / f"elastic-{tag}.{os.getpid()}.tmp"
+            try:
+                subprocess.run([*_CC, "-o", str(tmp), str(_SOURCE)], check=True,
+                               capture_output=True)
+                os.replace(tmp, lib)
+            finally:
+                tmp.unlink(missing_ok=True)
+        kernel = ctypes.CDLL(str(lib))
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = getattr(exc, "stderr", None) or b""
+        warnings.warn(f"native Elastic insert pass unavailable, insert_trace loops "
+                      f"insert(): {exc} {detail.decode(errors='replace')}".rstrip(),
+                      RuntimeWarning, stacklevel=2)
+        return None
+    kernel.mix64.argtypes = [_U64]
+    kernel.mix64.restype = _U64
+    kernel.elastic_pass.argtypes = [
+        _PTR, ctypes.c_size_t, _PTR, _PTR, _PTR, _U64, _U64, ctypes.c_size_t,
+        ctypes.c_double, ctypes.c_int, ctypes.c_int, _PTR, _PTR, _U64, _U64, _PTR]
+    kernel.elastic_pass.restype = None
+    return kernel
+
+
+NATIVE = load_kernel()
+
+
+def _address(buf, nbytes: int) -> int:
+    """Address of the first byte of a writable buffer (an array('I') or a
+    bytearray) that the kernel writes in place, after checking that it holds
+    exactly nbytes; valid while the buffer is not resized."""
+    if memoryview(buf).nbytes != nbytes:
+        raise ValueError(f"a sketch buffer holds {memoryview(buf).nbytes} bytes, "
+                         f"expected {nbytes}")
+    return ctypes.addressof(ctypes.c_char.from_buffer(buf))
+
 
 def bucket_footprint(cells_per_bucket: int) -> int:
     """Bytes per bucket: cells * (4B id + 4B votes) + 4B negative votes;
@@ -43,13 +109,14 @@ class _ElasticBucket:
 
     Cells fill left to right and are never vacated. An occupied cell holds at
     least 1 vote, so a cell is empty exactly when its votes are 0, and the
-    first empty cell ends a scan. `insert()` (the reference) and
-    `insert_trace()` (the bulk pass) run the same scan and hand every full
-    bucket to the variant. A variant sizes the buckets, gives every cell's
-    estimate in `_estimates()`, answers `query()` and supplies
-    `_full(b, f, min_i, min_v, vm)`: packet f found bucket b full, min_i is
-    its first smallest cell, holding min_v votes, and vm is the negative
-    votes with this miss. `_full` writes the bucket and its own tallies.
+    first empty cell ends a scan. `insert()` (the reference) and the native
+    `insert_trace()` run the same scan; a vote count saturates at 2**32 - 1.
+    A variant sizes the buckets, gives every cell's estimate in
+    `_estimates()`, answers `query()` and states its full-bucket rule twice:
+    `_full(b, f, min_i, min_v, vm)` for `insert()` (packet f found bucket b
+    full, min_i is its first smallest cell, holding min_v votes, and vm is
+    the negative votes with this miss; it writes the bucket and its own
+    tallies), and `_native_rule()` and `_tally()` for the kernel.
     """
 
     def __init__(self, memory_bytes: int, lam: float, cells_per_bucket: int,
@@ -61,9 +128,9 @@ class _ElasticBucket:
         self.cells_per_bucket = cells_per_bucket
         self.bucket_count = bucket_count
         self.hash = HashFamily(seed, rows=hash_rows)
-        self.ids = [0] * (bucket_count * cells_per_bucket)
-        self.votes = [0] * len(self.ids)
-        self.vote_minus = [0] * bucket_count
+        self.ids = array("I", [0]) * (bucket_count * cells_per_bucket)
+        self.votes = array("I", [0]) * len(self.ids)
+        self.vote_minus = array("I", [0]) * bucket_count
         self.hits = 0
         self.empty_inserts = 0
 
@@ -87,7 +154,7 @@ class _ElasticBucket:
                 self.empty_inserts += 1
                 return EMPTY_INSERT
             if ids[i] == f:
-                votes[i] = v + 1
+                votes[i] = v + (v < _VOTE_MAX)
                 self.hits += 1
                 return HIT
             if v < min_v:
@@ -99,45 +166,24 @@ class _ElasticBucket:
         return self._full(b, f, min_i, min_v, vm)
 
     def insert_trace(self, keys: np.ndarray) -> None:
-        """Bulk insert pass, equivalent to insert() per key. The batch's
-        buckets are hashed in one vectorised call, and every name the loop
-        reads per packet is bound to a local: a global or attribute read per
-        packet costs several percent."""
-        keys = key_array(keys)
-        buckets = self.hash.index_array(0, keys, self.bucket_count)
-        c = self.cells_per_bucket
-        ids = self.ids
-        votes = self.votes
-        vote_minus = self.vote_minus
-        full = self._full
-        vote_max = _VOTE_MAX
-        no_min = _VOTE_MAX + 1
-        hits = empty_inserts = 0
-        for f, b in zip(keys.tolist(), buckets.tolist()):
-            base = b * c
-            min_i = -1
-            min_v = no_min
-            for i in range(base, base + c):
-                v = votes[i]
-                if not v:
-                    ids[i] = f
-                    votes[i] = 1
-                    empty_inserts += 1
-                    break
-                if ids[i] == f:
-                    votes[i] = v + 1
-                    hits += 1
-                    break
-                if v < min_v:
-                    min_v = v
-                    min_i = i
-            else:
-                vm = vote_minus[b]
-                if vm < vote_max:
-                    vm += 1
-                full(b, f, min_i, min_v, vm)
+        """Bulk insert pass, equivalent to insert() per key: one call of the
+        native kernel, or the insert() loop when the kernel is not built."""
+        keys = np.ascontiguousarray(key_array(keys))
+        if NATIVE is None:
+            for f in keys.tolist():
+                self.insert(f)
+            return
+        cells = self.bucket_count * self.cells_per_bucket
+        tallies = (ctypes.c_uint64 * 5)()
+        NATIVE.elastic_pass(keys.ctypes.data, keys.size, _address(self.ids, 4 * cells),
+                            _address(self.votes, 4 * cells),
+                            _address(self.vote_minus, 4 * self.bucket_count),
+                            self.hash.row_seeds[0], self.bucket_count,
+                            self.cells_per_bucket, self.lam, *self._native_rule(), tallies)
+        hits, empty_inserts, wins, losses, clipped = tallies
         self.hits += hits
         self.empty_inserts += empty_inserts
+        self._tally(wins, losses, clipped)
 
     def _cell(self, f: int) -> int:
         """Index of f's cell, or -1 when f is not resident."""
@@ -156,7 +202,10 @@ class _ElasticBucket:
         in bucket order, then cell order."""
         check_threshold(threshold)
         # an empty cell's estimate is 0, below every threshold
-        return [(f, est) for f, est in zip(self.ids, self._estimates()) if est >= threshold]
+        ests = self._estimates()
+        keep = np.flatnonzero(ests >= threshold)
+        return list(zip(np.frombuffer(self.ids, np.uint32)[keep].tolist(),
+                        ests[keep].tolist()))
 
 
 class ElasticHH(_ElasticBucket):
@@ -176,7 +225,7 @@ class ElasticHH(_ElasticBucket):
     def _full(self, b: int, f: int, min_i: int, min_v: int, vm: int) -> str:
         if vm > self.lam * min_v:
             self.ids[min_i] = f
-            self.votes[min_i] = min_v + 1
+            self.votes[min_i] = min_v + (min_v < _VOTE_MAX)
             self.vote_minus[b] = 0
             self.replacements += 1
             return REPLACEMENT
@@ -184,13 +233,22 @@ class ElasticHH(_ElasticBucket):
         self.discards += 1
         return DISCARD
 
+    def _native_rule(self) -> tuple:
+        # `_full` for the kernel: win at vm > lam * min_v, inherit min_v + 1,
+        # drop the residue (no flags, no light part)
+        return False, False, None, None, 0, 1
+
+    def _tally(self, wins: int, losses: int, clipped: int) -> None:
+        self.replacements += wins
+        self.discards += losses
+
     def query(self, f: int) -> int:
         """Estimated size of flow f: its cell's votes, or 0 if absent."""
         i = self._cell(check_key(f))
         return self.votes[i] if i >= 0 else 0
 
-    def _estimates(self) -> list[int]:
-        return self.votes
+    def _estimates(self) -> np.ndarray:
+        return np.frombuffer(self.votes, np.uint32)
 
 
 class ElasticStd(_ElasticBucket):
@@ -216,7 +274,7 @@ class ElasticStd(_ElasticBucket):
             raise ValueError(f"memory {memory_bytes}B leaves no room for a light counter")
         # hash row 1 picks the light counter
         super().__init__(memory_bytes, lam, cells_per_bucket, bucket_count, seed, 2)
-        self.flags = [False] * len(self.ids)
+        self.flags = bytearray(len(self.ids))
         self.light = bytearray(self.light_size)
         self.light_clipped = False  # any saturating add lost counts
         self.to_light = 0
@@ -232,7 +290,7 @@ class ElasticStd(_ElasticBucket):
             key, amount = ids[min_i], min_v
             ids[min_i] = f
             self.votes[min_i] = 1
-            self.flags[min_i] = True
+            self.flags[min_i] = 1
             self.vote_minus[b] = 0
             self.evictions += 1
             outcome = EVICTION
@@ -249,6 +307,18 @@ class ElasticStd(_ElasticBucket):
         self.light[li] = cur + amount
         return outcome
 
+    def _native_rule(self) -> tuple:
+        # `_full` for the kernel: win at vm >= lam * min_v, restart at 1 vote
+        # with the flag set, add the residue to the light part
+        return (True, True, _address(self.flags, self.bucket_count * self.cells_per_bucket),
+                _address(self.light, self.light_size), self.hash.row_seeds[1],
+                self.light_size)
+
+    def _tally(self, wins: int, losses: int, clipped: int) -> None:
+        self.evictions += wins
+        self.to_light += losses
+        self.light_clipped = self.light_clipped or bool(clipped)
+
     def query(self, f: int) -> int:
         """Heavy votes, plus the light counter if the cell saw an eviction;
         the light counter alone when f is not resident."""
@@ -259,15 +329,13 @@ class ElasticStd(_ElasticBucket):
         light = self.light[self.light_index(f)]
         return light + self.votes[i] if i >= 0 else light
 
-    def _estimates(self) -> list[int]:
+    def _estimates(self) -> np.ndarray:
         """query() of every cell's flow, with one vectorised light-hash pass."""
-        ids = self.ids
-        ests = self.votes[:]
-        flagged = list(compress(range(len(ids)), self.flags))
+        ests = np.frombuffer(self.votes, np.uint32).astype(np.int64)
+        flagged = np.flatnonzero(np.frombuffer(self.flags, np.uint8))
         light_idx = self.hash.index_array(
-            1, np.array([ids[i] for i in flagged], dtype=np.uint64), self.light_size)
-        for i, li in zip(flagged, light_idx.tolist()):
-            ests[i] += self.light[li]
+            1, np.frombuffer(self.ids, np.uint32)[flagged], self.light_size)
+        ests[flagged] += np.frombuffer(self.light, np.uint8)[light_idx]
         return ests
 
     def heavy_votes_total(self) -> int:

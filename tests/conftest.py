@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from hhsketch import Oracle, generate_zipf
+from hhsketch import Oracle, elastic, generate_zipf
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +24,13 @@ def zero_and_max_trace(tmp_path):
     path = tmp_path / "t.bin"
     path.write_bytes(struct.pack("<4I", 0, 0xFFFFFFFF, 0, 7))
     return path
+
+
+@pytest.fixture
+def python_pass(monkeypatch):
+    """Elastic insert_trace as it runs when the native kernel cannot be
+    built: the insert() loop."""
+    monkeypatch.setattr(elastic, "NATIVE", None)
 
 
 def state(s):
@@ -63,13 +70,23 @@ def fill_bucket(sketch, bucket, cells, vote_minus):
     sketch.vote_minus[bucket] = vote_minus
 
 
+# an Elastic insert outcome -> the tally that counts it
+OUTCOME_TALLIES = {"hit": "hits", "empty_insert": "empty_inserts",
+                   "replacement": "replacements", "discard": "discards",
+                   "to_light": "to_light", "eviction": "evictions"}
+
+
 def insert_one(sketch, entry, f):
-    """Feed one packet through the named entry point: "insert", or
-    "insert_trace" with a one-key array."""
+    """Feed one packet through the named entry point, "insert" or
+    "insert_trace" with a one-key array, and return its outcome; for
+    insert_trace, the outcome whose tally moved."""
     if entry == "insert":
-        sketch.insert(f)
-    else:
-        sketch.insert_trace(np.array([f], dtype=np.uint32))
+        return sketch.insert(f)
+    before = {o: getattr(sketch, t, 0) for o, t in OUTCOME_TALLIES.items()}
+    sketch.insert_trace(np.array([f], dtype=np.uint32))
+    moved = [o for o, t in OUTCOME_TALLIES.items() if getattr(sketch, t, 0) != before[o]]
+    assert len(moved) == 1, moved
+    return moved[0]
 
 
 def bucket_state(sketch, bucket):

@@ -126,6 +126,12 @@ def test_criterion_2_conservation():
             f"({std_checked} clip-free heavy+light checks)")
 
 
+def test_criterion_2_conservation_on_python_pass(python_pass):
+    # the same identities through the insert() loop that runs when the
+    # native kernel cannot be built
+    test_criterion_2_conservation()
+
+
 # --------------------------------------------------------------------------
 # 3. Oracle equivalence on small instances
 # --------------------------------------------------------------------------

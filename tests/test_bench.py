@@ -370,6 +370,18 @@ class TestCli:
         assert f"error: {flag} lists no value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value, item", [
+        ("sweep-memory", "--memories", "8,abc", "'abc' is not a valid int"),
+        ("sweep-lambda", "--lambdas", "1, x", "'x' is not a valid float"),
+    ])
+    def test_unparsable_list_item_names_flag_and_item(self, command, flag, value, item,
+                                                      tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main([command, "--repeats", "0", "--zipf-n", "1000", flag, value,
+                     "--out", str(out)]) == 1
+        assert f"error: {flag} item {item}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_checks_every_sketch_before_any_work(self, tmp_path, monkeypatch, capsys):
         # 16 KB cannot hold cmheap's 32 KB heap; no row may run before that shows
         def no_trace(cfg):

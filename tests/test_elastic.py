@@ -1,14 +1,21 @@
-"""Both Elastic variants: key 0 as an ordinary flow, and scalar vs batched bulk
-insert over adversarial key orders."""
+"""Both Elastic variants: key 0 as an ordinary flow, scalar vs batched bulk
+insert over adversarial key orders on both bulk paths, and the build of the
+native kernel."""
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhsketch import ElasticHH, ElasticStd
+from hhsketch import ElasticHH, ElasticStd, elastic
+from hhsketch.core import HashFamily, mix64
 from hhsketch.elastic import EMPTY_INSERT, HIT
 from conftest import ORDERS, draw_keys, feed_in_batches, state
+
+needs_native = pytest.mark.skipif(elastic.NATIVE is None,
+                                  reason="the native Elastic pass is not built")
 
 
 @pytest.mark.parametrize("cls", [ElasticHH, ElasticStd])
@@ -70,3 +77,52 @@ def test_scalar_and_bulk_insert_agree(cls, n_flows, n, order, buckets, lam, cuts
         assert a.hits + a.empty_inserts + a.to_light + a.evictions == packets
         total = a.heavy_votes_total() + a.light_total()
         assert total < packets if a.light_clipped else total == packets
+
+
+def test_python_pass_scalar_and_bulk_insert_agree(python_pass):
+    test_scalar_and_bulk_insert_agree()
+
+
+@needs_native
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_native_mix64_is_core_mix64(seed):
+    for row_seed in HashFamily(seed, rows=2).row_seeds:
+        for key in (0, 1, 0xFFFFFFFF):
+            assert elastic.NATIVE.mix64(row_seed ^ key) == mix64(row_seed ^ key)
+
+
+@needs_native
+@pytest.mark.parametrize("cls, buffer", [
+    *((ElasticHH, b) for b in ("ids", "votes", "vote_minus")),
+    *((ElasticStd, b) for b in ("ids", "votes", "vote_minus", "flags", "light")),
+])
+def test_native_pass_refuses_a_resized_buffer(cls, buffer):
+    # the kernel writes the buffers in place, so a wrong size must not reach it
+    s = cls(1024)
+    getattr(s, buffer).pop()
+    with pytest.raises(ValueError, match="sketch buffer"):
+        s.insert_trace(np.array([1, 2], dtype=np.uint32))
+
+
+@pytest.mark.parametrize("compiler", [("false",), ("no-such-compiler",)])
+def test_failed_build_falls_back_with_one_warning(compiler, tmp_path, monkeypatch):
+    monkeypatch.setattr(elastic, "_CC", compiler)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert elastic.load_kernel(tmp_path) is None
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "insert_trace loops insert()" in str(caught[0].message)
+    assert list(tmp_path.iterdir()) == []  # no partial library left behind
+
+
+@needs_native
+def test_second_load_reuses_the_cached_build(tmp_path, monkeypatch):
+    assert elastic.load_kernel(tmp_path) is not None
+    built = sorted(tmp_path.iterdir())
+    assert [p.suffix for p in built] == [".so"]
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the cached build was compiled again")
+    monkeypatch.setattr(elastic.subprocess, "run", no_compiler)
+    assert elastic.load_kernel(tmp_path) is not None
+    assert sorted(tmp_path.iterdir()) == built

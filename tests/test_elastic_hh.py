@@ -37,11 +37,16 @@ class TestSizing:
 
 
 class TestInsertOutcomes:
+    """The bucket rules through insert(); the subclasses below run them
+    through insert_trace on each of its two paths."""
+
+    entry = "insert"
+
     def test_empty_insert_then_hits(self):
         s = one_bucket()
-        assert s.insert(42) == "empty_insert"
+        assert insert_one(s, self.entry, 42) == "empty_insert"
         for _ in range(5):
-            assert s.insert(42) == "hit"
+            assert insert_one(s, self.entry, 42) == "hit"
         assert s.query(42) == 6
         assert (s.hits, s.empty_inserts) == (5, 1)
 
@@ -52,7 +57,7 @@ class TestInsertOutcomes:
         s = one_bucket()
         fill_bucket(s, 0, [(1, 20), (2, 30), (3, 15), (4, 25), (5, 40),
                            (6, 11), (7, 18)], vote_minus=11)
-        assert s.insert(8) == "replacement"
+        assert insert_one(s, self.entry, 8) == "replacement"
         cells, vm = bucket_state(s, 0)
         assert (8, 12) in cells
         assert (6, 11) not in cells
@@ -65,7 +70,7 @@ class TestInsertOutcomes:
         s = one_bucket()
         before = [(1, 10), (2, 9), (3, 30), (4, 7), (5, 21), (6, 12), (7, 8)]
         fill_bucket(s, 0, before, vote_minus=6)
-        assert s.insert(9) == "discard"
+        assert insert_one(s, self.entry, 9) == "discard"
         cells, vm = bucket_state(s, 0)
         assert sorted(cells) == sorted(before)
         assert vm == 7
@@ -77,8 +82,8 @@ class TestInsertOutcomes:
         fill_bucket(s, 0, [(i, 5 if i == 1 else 9) for i in range(1, 8)],
                     vote_minus=0)
         for k in range(100, 105):
-            assert s.insert(k) == "discard"
-        assert s.insert(105) == "replacement"
+            assert insert_one(s, self.entry, k) == "discard"
+        assert insert_one(s, self.entry, 105) == "replacement"
         assert s.query(105) == 6
 
     def test_lambda_scales_eviction_resistance(self):
@@ -86,18 +91,40 @@ class TestInsertOutcomes:
         s = one_bucket(lam=2.0)
         fill_bucket(s, 0, [(i, 5 if i == 1 else 9) for i in range(1, 8)],
                     vote_minus=0)
-        outcomes = [s.insert(200 + k) for k in range(11)]
+        outcomes = [insert_one(s, self.entry, 200 + k) for k in range(11)]
         assert outcomes[:10] == ["discard"] * 10
         assert outcomes[10] == "replacement"
 
     def test_vote_minus_resets_after_replacement(self):
         s = one_bucket()
         fill_bucket(s, 0, [(i, 3) for i in range(1, 8)], vote_minus=3)
-        assert s.insert(50) == "replacement"
+        assert insert_one(s, self.entry, 50) == "replacement"
         assert s.vote_minus[0] == 0
         # next miss starts the count fresh
-        assert s.insert(60) == "discard"
+        assert insert_one(s, self.entry, 60) == "discard"
         assert s.vote_minus[0] == 1
+
+    def test_hit_saturates_at_vote_max(self):
+        s = one_bucket()
+        fill_bucket(s, 0, [(1, 0xFFFFFFFF)], vote_minus=0)
+        assert insert_one(s, self.entry, 1) == "hit"
+        assert bucket_state(s, 0) == ([(1, 0xFFFFFFFF)], 0)
+
+    def test_inherited_votes_saturate_at_vote_max(self):
+        # every cell at the cap: a replacement inherits the cap, not 2**32
+        s = one_bucket(lam=0.5)
+        fill_bucket(s, 0, [(i, 0xFFFFFFFF) for i in range(1, 8)], vote_minus=0xFFFFFFFF)
+        assert insert_one(s, self.entry, 9) == "replacement"
+        assert bucket_state(s, 0) == ([(9, 0xFFFFFFFF)] + [(i, 0xFFFFFFFF) for i in range(2, 8)], 0)
+
+
+class TestInsertOutcomesNative(TestInsertOutcomes):
+    entry = "insert_trace"
+
+
+@pytest.mark.usefixtures("python_pass")
+class TestInsertOutcomesPython(TestInsertOutcomes):
+    entry = "insert_trace"
 
 
 class TestInvariants:

@@ -44,10 +44,15 @@ class TestSizing:
 
 
 class TestInsertOutcomes:
+    """The bucket rules through insert(); the subclasses below run them
+    through insert_trace on each of its two paths."""
+
+    entry = "insert"
+
     def test_hit_and_empty_insert(self):
         s = one_bucket()
-        assert s.insert(5) == "empty_insert"
-        assert s.insert(5) == "hit"
+        assert insert_one(s, self.entry, 5) == "empty_insert"
+        assert insert_one(s, self.entry, 5) == "hit"
         assert s.query(5) == 2
         assert s.light_total() == 0
 
@@ -58,7 +63,7 @@ class TestInsertOutcomes:
         s = one_bucket()
         before = [(1, 20), (2, 30), (3, 15), (4, 25), (5, 40), (6, 11), (7, 18)]
         fill_bucket(s, 0, before, vote_minus=10)
-        assert s.insert(8) == "to_light"
+        assert insert_one(s, self.entry, 8) == "to_light"
         cells, vm = bucket_state(s, 0)
         assert sorted(cells) == sorted(before)
         assert vm == 11
@@ -72,29 +77,29 @@ class TestInsertOutcomes:
         fill_bucket(s, 0, [(1, 10), (2, 9), (3, 30), (4, 7), (5, 21),
                            (6, 12), (7, 8)], vote_minus=55)
         assert s.light[s.light_index(4)] == 0
-        assert s.insert(9) == "eviction"
+        assert insert_one(s, self.entry, 9) == "eviction"
         cells, vm = bucket_state(s, 0)
         assert (9, 1) in cells
         assert (4, 7) not in cells
         assert vm == 0
         assert s.light[s.light_index(4)] == 7
-        assert s.flags[s.ids.index(9)] is True
+        assert s.flags[s.ids.index(9)] == 1
 
     def test_eviction_boundary_is_inclusive(self):
         # negative votes land exactly on 8*min -> eviction (>= comparator)
         s = one_bucket()
         fill_bucket(s, 0, [(i, 2 if i == 1 else 9) for i in range(1, 8)],
                     vote_minus=15)
-        assert s.insert(70) == "eviction"
+        assert insert_one(s, self.entry, 70) == "eviction"
 
     def test_query_adds_light_only_when_flagged(self):
         s = one_bucket()
         fill_bucket(s, 0, [(1, 10), (2, 9), (3, 30), (4, 7), (5, 21),
                            (6, 12), (7, 8)], vote_minus=55)
-        s.insert(9)  # eviction: flag set on flow 9's cell
+        insert_one(s, self.entry, 9)  # eviction: flag set on flow 9's cell
         # pick a later packet count for 9 and put noise in its light counter
         for _ in range(4):
-            assert s.insert(9) == "hit"
+            assert insert_one(s, self.entry, 9) == "hit"
         li9 = s.light_index(9)
         assert s.light[li9] == 0  # precondition: no collision with flow 4
         assert s.query(9) == 5
@@ -103,7 +108,7 @@ class TestInsertOutcomes:
 
     def test_unflagged_resident_ignores_light(self):
         s = one_bucket()
-        s.insert(5)
+        insert_one(s, self.entry, 5)
         s.light[s.light_index(5)] = 9
         assert s.query(5) == 1
 
@@ -117,7 +122,7 @@ class TestInsertOutcomes:
         s = one_bucket()
         fill_bucket(s, 0, [(1, 10), (2, 9), (3, 30), (4, 7), (5, 21),
                            (6, 12), (7, 8)], vote_minus=55)
-        s.insert(9)
+        insert_one(s, self.entry, 9)
         assert s.query(4) == 7
 
     @pytest.mark.parametrize("entry", ["insert", "insert_trace"])
@@ -132,6 +137,15 @@ class TestInsertOutcomes:
         insert_one(s, entry, 123)
         assert s.light[li] == 255
         assert s.light_clipped
+
+
+class TestInsertOutcomesNative(TestInsertOutcomes):
+    entry = "insert_trace"
+
+
+@pytest.mark.usefixtures("python_pass")
+class TestInsertOutcomesPython(TestInsertOutcomes):
+    entry = "insert_trace"
 
 
 class TestInvariants:

@@ -84,7 +84,7 @@ def test_keys_zero_and_max_are_flows(zero_and_max_trace, algo, entry):
 
 @pytest.mark.parametrize("algo", ALGOS)
 @pytest.mark.parametrize("entry", ["insert", "insert_trace", "query"])
-@pytest.mark.parametrize("bad", [-1, 2**32, 2**40, 1.5, "7"])
+@pytest.mark.parametrize("bad", [-1, 2**32, 2**40, 1.5, "7", True, False])
 def test_bad_key_rejected_and_state_unchanged(algo, entry, bad):
     s = small_sketch(algo)
     before = state(s)
@@ -92,7 +92,8 @@ def test_bad_key_rejected_and_state_unchanged(algo, entry, bad):
         if entry == "insert":
             s.insert(bad)
         elif entry == "insert_trace":
-            s.insert_trace(np.array([7, bad]))
+            # in the bad key's own dtype: next to an int, a bool becomes one
+            s.insert_trace(np.array([7, bad], dtype=np.asarray(bad).dtype))
         else:
             s.query(bad)
     assert state(s) == before
