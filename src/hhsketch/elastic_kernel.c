@@ -22,12 +22,17 @@
 
 #include <stddef.h>
 #include <stdint.h>
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #define VOTE_MAX UINT32_MAX
 #define LIGHT_MAX 255u
 #define AHEAD 8 /* packets whose buckets are hashed and prefetched early */
 
-uint64_t mix64(uint64_t x)
+enum { HIT, EMPTY, FULL };
+
+static inline uint64_t mix(uint64_t x)
 {
     x ^= x >> 33;
     x *= 0xFF51AFD7ED558CCDull;
@@ -35,6 +40,13 @@ uint64_t mix64(uint64_t x)
     x *= 0xC4CEB9FE1A85EC53ull;
     x ^= x >> 33;
     return x;
+}
+
+/* Exported for the tests; the pass calls mix(), which the compiler can
+   inline (an exported function of a shared library cannot be). */
+uint64_t mix64(uint64_t x)
+{
+    return mix(x);
 }
 
 /* Adds amount to light counter i, saturating at LIGHT_MAX; 1 if counts were lost. */
@@ -45,6 +57,77 @@ static int light_add(uint8_t *light, uint64_t i, uint32_t amount)
     return clip;
 }
 
+#if defined(__SSE2__)
+/* scan() of a 7-cell bucket: cells 0-3 and 3-6 as two 4-lane vectors, so
+   no load leaves the bucket.  Occupied cells are a prefix, so a match in
+   an occupied cell comes before the first empty one, as in the scan. */
+static inline int scan7(const uint32_t *id, const uint32_t *v, uint32_t f, size_t *cell)
+{
+    __m128i key = _mm_set1_epi32((int)f), zero = _mm_setzero_si128();
+    __m128i id0 = _mm_loadu_si128((const __m128i *)id);
+    __m128i id1 = _mm_loadu_si128((const __m128i *)(id + 3));
+    __m128i v0 = _mm_loadu_si128((const __m128i *)v);
+    __m128i v1 = _mm_loadu_si128((const __m128i *)(v + 3));
+    __m128i z0 = _mm_cmpeq_epi32(v0, zero), z1 = _mm_cmpeq_epi32(v1, zero);
+    unsigned match = _mm_movemask_ps(_mm_castsi128_ps(_mm_andnot_si128(z0, _mm_cmpeq_epi32(id0, key))))
+        | _mm_movemask_ps(_mm_castsi128_ps(_mm_andnot_si128(z1, _mm_cmpeq_epi32(id1, key)))) << 3;
+    unsigned empty = _mm_movemask_ps(_mm_castsi128_ps(z0))
+        | _mm_movemask_ps(_mm_castsi128_ps(z1)) << 3;
+    if (match) {
+        *cell = __builtin_ctz(match);
+        return HIT;
+    }
+    if (empty) {
+        *cell = __builtin_ctz(empty);
+        return EMPTY;
+    }
+    /* the unsigned minimum, through a sign flip and signed compares */
+    __m128i bias = _mm_set1_epi32((int)0x80000000u);
+    __m128i a = _mm_xor_si128(v0, bias), b = _mm_xor_si128(v1, bias);
+    __m128i gt = _mm_cmpgt_epi32(a, b);
+    __m128i lo = _mm_or_si128(_mm_and_si128(gt, b), _mm_andnot_si128(gt, a));
+    __m128i sh = _mm_shuffle_epi32(lo, _MM_SHUFFLE(1, 0, 3, 2));
+    gt = _mm_cmpgt_epi32(lo, sh);
+    lo = _mm_or_si128(_mm_and_si128(gt, sh), _mm_andnot_si128(gt, lo));
+    sh = _mm_shuffle_epi32(lo, _MM_SHUFFLE(2, 3, 0, 1));
+    gt = _mm_cmpgt_epi32(lo, sh);
+    lo = _mm_or_si128(_mm_and_si128(gt, sh), _mm_andnot_si128(gt, lo));
+    /* every lane now holds the minimum; the first cell holding it */
+    *cell = __builtin_ctz(_mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(a, lo)))
+                          | _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(b, lo))) << 3);
+    return FULL;
+}
+#endif
+
+/* The cell scan of insert(): HIT or EMPTY with *cell the cell f matched or
+   the first empty one, else FULL with *cell the first smallest cell. */
+static inline int scan(const uint32_t *id, const uint32_t *v, size_t cells, uint32_t f,
+                       size_t *cell)
+{
+#if defined(__SSE2__)
+    if (cells == 7)
+        return scan7(id, v, f, cell);
+#endif
+    size_t min_i = 0;
+    uint64_t min_v = (uint64_t)VOTE_MAX + 1;
+    for (size_t i = 0; i < cells; i++) {
+        if (!v[i]) {
+            *cell = i;
+            return EMPTY;
+        }
+        if (id[i] == f) {
+            *cell = i;
+            return HIT;
+        }
+        /* branch-free: the first smallest cell, as in insert() */
+        int less = v[i] < min_v;
+        min_i = less ? i : min_i;
+        min_v = less ? v[i] : min_v;
+    }
+    *cell = min_i;
+    return FULL;
+}
+
 void elastic_pass(const uint32_t *keys, size_t n,
                   uint32_t *ids, uint32_t *votes, uint32_t *vote_minus,
                   uint64_t bucket_seed, uint64_t bucket_count, size_t cells,
@@ -53,66 +136,67 @@ void elastic_pass(const uint32_t *keys, size_t n,
                   uint64_t *tallies)
 {
     uint64_t hits = 0, empties = 0, wins = 0, losses = 0, clipped = 0;
-    uint64_t ahead[AHEAD];
+    /* each key's bucket and, with a light part, its light counter */
+    uint64_t ahead[AHEAD], ahead_light[AHEAD];
 
-    for (size_t k = 0; k < n && k < AHEAD; k++)
-        ahead[k] = mix64(bucket_seed ^ keys[k]) % bucket_count;
+    for (size_t k = 0; k < n && k < AHEAD; k++) {
+        ahead[k] = mix(bucket_seed ^ keys[k]) % bucket_count;
+        ahead_light[k] = light ? mix(light_seed ^ keys[k]) % light_size : 0;
+    }
     for (size_t k = 0; k < n; k++) {
         uint32_t f = keys[k];
-        uint64_t b = ahead[k % AHEAD];
+        uint64_t b = ahead[k % AHEAD], li = ahead_light[k % AHEAD];
         if (k + AHEAD < n) {
-            uint64_t next = mix64(bucket_seed ^ keys[k + AHEAD]) % bucket_count;
+            uint32_t next_key = keys[k + AHEAD];
+            uint64_t next = mix(bucket_seed ^ next_key) % bucket_count;
             ahead[k % AHEAD] = next;
             __builtin_prefetch(ids + next * cells, 1);
             __builtin_prefetch(votes + next * cells, 1);
+            if (light) {
+                uint64_t next_li = mix(light_seed ^ next_key) % light_size;
+                ahead_light[k % AHEAD] = next_li;
+                __builtin_prefetch(light + next_li, 1);
+            }
         }
         uint32_t *id = ids + b * cells, *v = votes + b * cells;
-        size_t i, min_i = 0;
-        uint64_t min_v = (uint64_t)VOTE_MAX + 1;
-
-        for (i = 0; i < cells; i++) {
-            if (!v[i]) {
-                id[i] = f;
-                v[i] = 1;
-                empties++;
-                break;
-            }
-            if (id[i] == f) {
-                v[i] += v[i] < VOTE_MAX;
-                hits++;
-                break;
-            }
-            /* branch-free: the first smallest cell, as in insert() */
-            int less = v[i] < min_v;
-            min_i = less ? i : min_i;
-            min_v = less ? v[i] : min_v;
-        }
-        if (i < cells)
+        size_t i;
+        int kind = scan(id, v, cells, f, &i);
+        if (kind == HIT) {
+            v[i] += v[i] < VOTE_MAX;
+            hits++;
             continue;
+        }
+        if (kind == EMPTY) {
+            id[i] = f;
+            v[i] = 1;
+            empties++;
+            continue;
+        }
 
+        uint32_t min_v = v[i], old_id = id[i];
         uint32_t vm = vote_minus[b];
         vm += vm < VOTE_MAX;
         double bar = lam * (double)min_v;
         int win = inclusive ? (double)vm >= bar : (double)vm > bar;
-        uint32_t key = f, amount = 1;
-        if (win) {
-            key = id[min_i];
-            amount = (uint32_t)min_v;
-            id[min_i] = f;
-            if (reset) {
-                v[min_i] = 1;
-                flags[b * cells + min_i] = 1;
-            } else {
-                v[min_i] = (uint32_t)min_v + (min_v < VOTE_MAX);
-            }
-            vm = 0;
-            wins++;
-        } else {
-            losses++;
+        /* the winner's and the loser's writes are selected through a mask,
+           so no branch waits on the comparison, which under the tailored
+           rule goes either way often */
+        uint32_t w = -(uint32_t)win;
+        uint32_t won_v = reset ? 1 : min_v + (min_v < VOTE_MAX);
+        id[i] = (f & w) | (old_id & ~w);
+        v[i] = (won_v & w) | (min_v & ~w);
+        vote_minus[b] = vm & ~w;
+        if (reset)
+            flags[b * cells + i] |= (uint8_t)win;
+        wins += win;
+        losses += !win;
+        if (light) {
+            /* the packet's own counter was hashed AHEAD packets early; an
+               evicted flow's is hashed now (evictions are the rare case) */
+            if (win)
+                li = mix(light_seed ^ old_id) % light_size;
+            clipped |= light_add(light, li, win ? min_v : 1);
         }
-        vote_minus[b] = vm;
-        if (light)
-            clipped |= light_add(light, mix64(light_seed ^ key) % light_size, amount);
     }
     tallies[0] = hits;
     tallies[1] = empties;

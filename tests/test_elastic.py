@@ -44,21 +44,26 @@ def test_nan_lambda_rejected(cls):
     n=st.sampled_from([1, 8, 100, 1000, 10_000]),
     order=st.sampled_from(sorted(ORDERS)),
     buckets=st.sampled_from([1, 2, 3, 5]),
+    cells=st.sampled_from([7, 1, 3, 8]),
     lam=st.sampled_from([None, 0.0, 0.5, 1.0, 8.0]),
     cuts=st.lists(st.integers(0, 10_000), max_size=6),
     extremes=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_scalar_and_bulk_insert_agree(cls, n_flows, n, order, buckets, lam, cuts,
+def test_scalar_and_bulk_insert_agree(cls, n_flows, n, order, buckets, cells, lam, cuts,
                                       extremes, seed):
     # hypothesis lists stay too short to fill a 7-cell bucket or saturate a
     # light counter, so the keys come from a seeded draw
     rng = np.random.default_rng(seed)
     keys = ORDERS[order](draw_keys(rng, n_flows, n, extremes))
-    # smallest budget with exactly `buckets` 64-byte buckets (ElasticStd
-    # gives a quarter of it to the light part)
-    mem = 64 * buckets if cls is ElasticHH else -(-64 * buckets * 4 // 3)
-    kwargs = {"seed": seed} if lam is None else {"seed": seed, "lam": lam}
+    # smallest budget with exactly `buckets` buckets (ElasticStd gives a
+    # quarter of it to the light part); the native pass scans a 7-cell
+    # bucket with vectors and other widths cell by cell
+    fp = elastic.bucket_footprint(cells)
+    mem = fp * buckets if cls is ElasticHH else -(-fp * buckets * 4 // 3)
+    kwargs = {"seed": seed, "cells_per_bucket": cells}
+    if lam is not None:
+        kwargs["lam"] = lam
     a = cls(mem, **kwargs)
     b = cls(mem, **kwargs)
     assert a.bucket_count == buckets
