@@ -86,14 +86,16 @@ def load_kernel(cache: Path = _CACHE):
 NATIVE = load_kernel()
 
 
-def _address(buf, nbytes: int) -> int:
-    """Address of the first byte of a writable buffer (an array('I') or a
-    bytearray) that the kernel writes in place, after checking that it holds
-    exactly nbytes; valid while the buffer is not resized."""
+def _pinned(buf, nbytes: int):
+    """Pointer argument for a writable buffer (an array('I') or a bytearray)
+    that the kernel writes in place, after checking that it holds exactly
+    nbytes. The call runs without the GIL; while the argument lives it holds
+    an export of the buffer, so a resize from another thread raises
+    BufferError instead of freeing memory the kernel writes."""
     if memoryview(buf).nbytes != nbytes:
         raise ValueError(f"a sketch buffer holds {memoryview(buf).nbytes} bytes, "
                          f"expected {nbytes}")
-    return ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    return ctypes.byref(ctypes.c_char.from_buffer(buf))
 
 
 def bucket_footprint(cells_per_bucket: int) -> int:
@@ -175,9 +177,9 @@ class _ElasticBucket:
             return
         cells = self.bucket_count * self.cells_per_bucket
         tallies = (ctypes.c_uint64 * 5)()
-        NATIVE.elastic_pass(keys.ctypes.data, keys.size, _address(self.ids, 4 * cells),
-                            _address(self.votes, 4 * cells),
-                            _address(self.vote_minus, 4 * self.bucket_count),
+        NATIVE.elastic_pass(keys.ctypes.data, keys.size, _pinned(self.ids, 4 * cells),
+                            _pinned(self.votes, 4 * cells),
+                            _pinned(self.vote_minus, 4 * self.bucket_count),
                             self.hash.row_seeds[0], self.bucket_count,
                             self.cells_per_bucket, self.lam, *self._native_rule(), tallies)
         hits, empty_inserts, wins, losses, clipped = tallies
@@ -310,8 +312,8 @@ class ElasticStd(_ElasticBucket):
     def _native_rule(self) -> tuple:
         # `_full` for the kernel: win at vm >= lam * min_v, restart at 1 vote
         # with the flag set, add the residue to the light part
-        return (True, True, _address(self.flags, self.bucket_count * self.cells_per_bucket),
-                _address(self.light, self.light_size), self.hash.row_seeds[1],
+        return (True, True, _pinned(self.flags, self.bucket_count * self.cells_per_bucket),
+                _pinned(self.light, self.light_size), self.hash.row_seeds[1],
                 self.light_size)
 
     def _tally(self, wins: int, losses: int, clipped: int) -> None:

@@ -22,9 +22,6 @@
 
 #include <stddef.h>
 #include <stdint.h>
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 #define VOTE_MAX UINT32_MAX
 #define LIGHT_MAX 255u
@@ -57,57 +54,11 @@ static int light_add(uint8_t *light, uint64_t i, uint32_t amount)
     return clip;
 }
 
-#if defined(__SSE2__)
-/* scan() of a 7-cell bucket: cells 0-3 and 3-6 as two 4-lane vectors, so
-   no load leaves the bucket.  Occupied cells are a prefix, so a match in
-   an occupied cell comes before the first empty one, as in the scan. */
-static inline int scan7(const uint32_t *id, const uint32_t *v, uint32_t f, size_t *cell)
-{
-    __m128i key = _mm_set1_epi32((int)f), zero = _mm_setzero_si128();
-    __m128i id0 = _mm_loadu_si128((const __m128i *)id);
-    __m128i id1 = _mm_loadu_si128((const __m128i *)(id + 3));
-    __m128i v0 = _mm_loadu_si128((const __m128i *)v);
-    __m128i v1 = _mm_loadu_si128((const __m128i *)(v + 3));
-    __m128i z0 = _mm_cmpeq_epi32(v0, zero), z1 = _mm_cmpeq_epi32(v1, zero);
-    unsigned match = _mm_movemask_ps(_mm_castsi128_ps(_mm_andnot_si128(z0, _mm_cmpeq_epi32(id0, key))))
-        | _mm_movemask_ps(_mm_castsi128_ps(_mm_andnot_si128(z1, _mm_cmpeq_epi32(id1, key)))) << 3;
-    unsigned empty = _mm_movemask_ps(_mm_castsi128_ps(z0))
-        | _mm_movemask_ps(_mm_castsi128_ps(z1)) << 3;
-    if (match) {
-        *cell = __builtin_ctz(match);
-        return HIT;
-    }
-    if (empty) {
-        *cell = __builtin_ctz(empty);
-        return EMPTY;
-    }
-    /* the unsigned minimum, through a sign flip and signed compares */
-    __m128i bias = _mm_set1_epi32((int)0x80000000u);
-    __m128i a = _mm_xor_si128(v0, bias), b = _mm_xor_si128(v1, bias);
-    __m128i gt = _mm_cmpgt_epi32(a, b);
-    __m128i lo = _mm_or_si128(_mm_and_si128(gt, b), _mm_andnot_si128(gt, a));
-    __m128i sh = _mm_shuffle_epi32(lo, _MM_SHUFFLE(1, 0, 3, 2));
-    gt = _mm_cmpgt_epi32(lo, sh);
-    lo = _mm_or_si128(_mm_and_si128(gt, sh), _mm_andnot_si128(gt, lo));
-    sh = _mm_shuffle_epi32(lo, _MM_SHUFFLE(2, 3, 0, 1));
-    gt = _mm_cmpgt_epi32(lo, sh);
-    lo = _mm_or_si128(_mm_and_si128(gt, sh), _mm_andnot_si128(gt, lo));
-    /* every lane now holds the minimum; the first cell holding it */
-    *cell = __builtin_ctz(_mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(a, lo)))
-                          | _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(b, lo))) << 3);
-    return FULL;
-}
-#endif
-
 /* The cell scan of insert(): HIT or EMPTY with *cell the cell f matched or
    the first empty one, else FULL with *cell the first smallest cell. */
 static inline int scan(const uint32_t *id, const uint32_t *v, size_t cells, uint32_t f,
                        size_t *cell)
 {
-#if defined(__SSE2__)
-    if (cells == 7)
-        return scan7(id, v, f, cell);
-#endif
     size_t min_i = 0;
     uint64_t min_v = (uint64_t)VOTE_MAX + 1;
     for (size_t i = 0; i < cells; i++) {
@@ -136,27 +87,18 @@ void elastic_pass(const uint32_t *keys, size_t n,
                   uint64_t *tallies)
 {
     uint64_t hits = 0, empties = 0, wins = 0, losses = 0, clipped = 0;
-    /* each key's bucket and, with a light part, its light counter */
-    uint64_t ahead[AHEAD], ahead_light[AHEAD];
+    uint64_t ahead[AHEAD]; /* the buckets of the next AHEAD keys */
 
-    for (size_t k = 0; k < n && k < AHEAD; k++) {
+    for (size_t k = 0; k < n && k < AHEAD; k++)
         ahead[k] = mix(bucket_seed ^ keys[k]) % bucket_count;
-        ahead_light[k] = light ? mix(light_seed ^ keys[k]) % light_size : 0;
-    }
     for (size_t k = 0; k < n; k++) {
         uint32_t f = keys[k];
-        uint64_t b = ahead[k % AHEAD], li = ahead_light[k % AHEAD];
+        uint64_t b = ahead[k % AHEAD];
         if (k + AHEAD < n) {
-            uint32_t next_key = keys[k + AHEAD];
-            uint64_t next = mix(bucket_seed ^ next_key) % bucket_count;
+            uint64_t next = mix(bucket_seed ^ keys[k + AHEAD]) % bucket_count;
             ahead[k % AHEAD] = next;
             __builtin_prefetch(ids + next * cells, 1);
             __builtin_prefetch(votes + next * cells, 1);
-            if (light) {
-                uint64_t next_li = mix(light_seed ^ next_key) % light_size;
-                ahead_light[k % AHEAD] = next_li;
-                __builtin_prefetch(light + next_li, 1);
-            }
         }
         uint32_t *id = ids + b * cells, *v = votes + b * cells;
         size_t i;
@@ -191,10 +133,8 @@ void elastic_pass(const uint32_t *keys, size_t n,
         wins += win;
         losses += !win;
         if (light) {
-            /* the packet's own counter was hashed AHEAD packets early; an
-               evicted flow's is hashed now (evictions are the rare case) */
-            if (win)
-                li = mix(light_seed ^ old_id) % light_size;
+            /* the evicted flow's counter, or the losing packet's */
+            uint64_t li = mix(light_seed ^ (win ? old_id : f)) % light_size;
             clipped |= light_add(light, li, win ? min_v : 1);
         }
     }

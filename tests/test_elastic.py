@@ -3,6 +3,7 @@ insert over adversarial key orders on both bulk paths, and the build of the
 native kernel."""
 
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -57,8 +58,8 @@ def test_scalar_and_bulk_insert_agree(cls, n_flows, n, order, buckets, cells, la
     rng = np.random.default_rng(seed)
     keys = ORDERS[order](draw_keys(rng, n_flows, n, extremes))
     # smallest budget with exactly `buckets` buckets (ElasticStd gives a
-    # quarter of it to the light part); the native pass scans a 7-cell
-    # bucket with vectors and other widths cell by cell
+    # quarter of it to the light part); widths other than the default 7
+    # check the native pass's bucket stride
     fp = elastic.bucket_footprint(cells)
     mem = fp * buckets if cls is ElasticHH else -(-fp * buckets * 4 // 3)
     kwargs = {"seed": seed, "cells_per_bucket": cells}
@@ -107,6 +108,17 @@ def test_native_pass_refuses_a_resized_buffer(cls, buffer):
     getattr(s, buffer).pop()
     with pytest.raises(ValueError, match="sketch buffer"):
         s.insert_trace(np.array([1, 2], dtype=np.uint32))
+
+
+def test_pinned_buffer_cannot_be_resized_during_the_call():
+    # the kernel runs without the GIL, so another thread must not be able to
+    # move a buffer it writes
+    buf = array("I", [0, 0])
+    arg = elastic._pinned(buf, 8)
+    with pytest.raises(BufferError):
+        buf.append(0)
+    del arg
+    buf.append(0)
 
 
 @pytest.mark.parametrize("compiler", [("false",), ("no-such-compiler",)])
