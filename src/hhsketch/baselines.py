@@ -3,20 +3,30 @@
 All three expose the same surface as the Elastic variants: insert(),
 insert_trace(), query(), report(). Memory accounting is byte-budget based so
 the algorithms can be compared at equal total memory; the top-k heap's nodes
-are charged against the budget by default (configurable).
+are charged against the budget by default (configurable). CMHeap and
+CountHeap keep fixed-width state, and their insert_trace is one native pass
+for both (sketch_heap_kernel.c).
 """
 
 from __future__ import annotations
 
+import ctypes
 import heapq
+from array import array
 
 import numpy as np
 
+from . import native
 from .core import HashFamily, check_key, check_threshold, key_array
+from .native import pinned
 
 SS_ENTRY_BYTES = 12     # key + count + overestimation error, 4B each
 HEAP_NODE_BYTES = 8     # key + estimate
 COUNTER_BYTES = 4
+
+_U32_MAX = 0xFFFFFFFF   # a Count-Min counter's maximum, and the 32-bit mask
+_COUNT_MAX = 0x7FFFFFFF  # a Count sketch counter's bound, either sign
+_FIB = 0x9E3779B1       # the heap table's Fibonacci hash multiplier
 
 
 class SpaceSaving:
@@ -81,88 +91,154 @@ class SpaceSaving:
 
 
 class _TopKHeap:
-    """Indexed min-heap of (estimate, key) with O(log n) keyed updates."""
+    """Indexed min-heap of (estimate, key) with O(log n) keyed updates.
+
+    keys and ests hold the entries by slot, the first `size` of `capacity`
+    slots in use, and no parent's estimate exceeds its children's. A key's
+    slot is found in `table`, a power of two of at least 2 * capacity
+    entries, by linear probing from the key's Fibonacci hash; an entry holds
+    slot + 1, or 0 when empty, and a deletion shifts the rest of its cluster
+    back, so no tombstone is left. tix holds each slot's table index. The
+    native pass (sketch_heap_kernel.c) writes the same arrays by the same
+    rules, so both leave the same state.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("heap capacity must be >= 1")
         self.capacity = capacity
-        self.entries: list[list] = []  # [estimate, key]
-        self.pos: dict[int, int] = {}
+        self.size = 0
+        self.keys = array("I", [0]) * capacity
+        self.ests = array("I", [0]) * capacity
+        self.tix = array("I", [0]) * capacity
+        bits = (2 * capacity - 1).bit_length()
+        self.table = array("I", [0]) * (1 << bits)
+        self.shift = 32 - bits
+
+    def _home(self, key: int) -> int:
+        return ((key * _FIB) & _U32_MAX) >> self.shift
+
+    def _probe(self, key: int) -> int:
+        """Table index of key's entry, or of the empty entry that ends its probe."""
+        table = self.table
+        keys = self.keys
+        mask = len(table) - 1
+        t = self._home(key)
+        while table[t] and keys[table[t] - 1] != key:
+            t = (t + 1) & mask
+        return t
 
     def __contains__(self, key: int) -> bool:
-        return key in self.pos
+        return self.table[self._probe(key)] != 0
 
     def min_estimate(self) -> int:
-        return self.entries[0][0] if self.entries else 0
+        return self.ests[0] if self.size else 0
+
+    def min_key(self) -> int:
+        """Key of the minimum entry, which replace_min() drops."""
+        if not self.size:
+            raise IndexError("the heap is empty")
+        return self.keys[0]
 
     def items(self) -> list[tuple[int, int]]:
-        return [(e[1], e[0]) for e in self.entries]
+        return list(zip(self.keys[:self.size], self.ests[:self.size]))
+
+    def offer(self, key: int, est: int) -> None:
+        """Update key's entry, add it while there is room, or let it replace
+        the minimum when est exceeds the minimum's estimate."""
+        if key in self:
+            self.update(key, est)
+        elif self.size < self.capacity:
+            self.push(key, est)
+        elif est > self.ests[0]:
+            self.replace_min(key, est)
 
     def push(self, key: int, est: int) -> None:
-        self.entries.append([est, key])
-        i = len(self.entries) - 1
-        self.pos[key] = i
+        if self.size == self.capacity:
+            raise IndexError("the heap is full")
+        i = self.size
+        self.size += 1
+        self._place(i, key, est, self._probe(key))
         self._sift_up(i)
 
     def update(self, key: int, est: int) -> None:
-        i = self.pos[key]
-        self.entries[i][0] = est
-        self._sift_down(i)
-        self._sift_up(self.pos[key])
+        i = self.table[self._probe(key)] - 1
+        if i < 0:
+            raise KeyError(key)
+        self.ests[i] = est
+        self._sift_up(self._sift_down(i))
 
     def replace_min(self, key: int, est: int) -> None:
-        old = self.entries[0]
-        del self.pos[old[1]]
-        self.entries[0] = [est, key]
-        self.pos[key] = 0
+        # unlink first: at most capacity entries, so an empty one ends every scan
+        self._unlink(self.tix[0])
+        self._place(0, key, est, self._probe(key))
         self._sift_down(0)
 
-    def _sift_up(self, i: int) -> None:
-        entries = self.entries
-        pos = self.pos
-        item = entries[i]
+    def _place(self, i: int, key: int, est: int, t: int) -> None:
+        self.keys[i] = key
+        self.ests[i] = est
+        self.tix[i] = t
+        self.table[t] = i + 1
+
+    def _unlink(self, t: int) -> None:
+        """Empty table entry t by backward shift: a later entry of the
+        cluster moves into the hole unless its home lies cyclically in
+        (hole, entry]."""
+        table = self.table
+        mask = len(table) - 1
+        j = (t + 1) & mask
+        while table[j]:
+            s = table[j]
+            if (j - self._home(self.keys[s - 1])) & mask >= (j - t) & mask:
+                table[t] = s
+                self.tix[s - 1] = t
+                t = j
+            j = (j + 1) & mask
+        table[t] = 0
+
+    def _sift_up(self, i: int) -> int:
+        keys, ests, tix = self.keys, self.ests, self.tix
+        key, est, t = keys[i], ests[i], tix[i]
         while i > 0:
             parent = (i - 1) >> 1
-            if entries[parent][0] <= item[0]:
+            if ests[parent] <= est:
                 break
-            entries[i] = entries[parent]
-            pos[entries[i][1]] = i
+            self._place(i, keys[parent], ests[parent], tix[parent])
             i = parent
-        entries[i] = item
-        pos[item[1]] = i
+        self._place(i, key, est, t)
+        return i
 
-    def _sift_down(self, i: int) -> None:
-        entries = self.entries
-        pos = self.pos
-        n = len(entries)
-        item = entries[i]
+    def _sift_down(self, i: int) -> int:
+        keys, ests, tix = self.keys, self.ests, self.tix
+        n = self.size
+        key, est, t = keys[i], ests[i], tix[i]
         while True:
             child = 2 * i + 1
             if child >= n:
                 break
-            right = child + 1
-            if right < n and entries[right][0] < entries[child][0]:
-                child = right
-            if entries[child][0] >= item[0]:
+            if child + 1 < n and ests[child + 1] < ests[child]:
+                child += 1
+            if ests[child] >= est:
                 break
-            entries[i] = entries[child]
-            pos[entries[i][1]] = i
+            self._place(i, keys[child], ests[child], tix[child])
             i = child
-        entries[i] = item
-        pos[item[1]] = i
+        self._place(i, key, est, t)
+        return i
 
 
 class _SketchHeapBase:
     """A linear sketch of `rows` counter rows with a min-heap of the top-k flows.
 
-    A packet adds a fixed step to one counter per row, so a batch's row
-    updates commute. insert_trace therefore updates each row in one
-    vectorised pass, and only the heap admission runs per packet, in packet
-    order, with each packet's running estimate. A subclass states only its
-    step (`_sign` for one key, `_signs` for a batch) and its estimator over
-    the rows' signed counters (`_estimate` for one key, `_combine` for a
-    batch).
+    A packet adds its step to one counter per row and offers its estimate
+    over the rows just written (what query() returns) to the heap. The
+    counters are fixed-width, COUNTER_BYTES each as the budget charges them,
+    and saturate. A subclass states its counter dtype, its step (`_sign`
+    for one key, `_signs` for a batch), the saturating add of a step
+    (`_add`), its estimator over the rows' signed counters (`_estimate` for
+    one key, `_combine` for a batch), and `_COUNT_SKETCH`, which names the
+    same rule to the native pass. insert_trace is one call of that pass
+    (sketch_heap_kernel.c), or the insert() loop when `native.NATIVE` is
+    None; insert() is the reference both paths must match.
     """
 
     _HASHES_PER_ROW = 1
@@ -183,8 +259,7 @@ class _SketchHeapBase:
         self.width = width
         # hash rows 0..rows-1 index the counters; CountHeap's sign rows follow
         self.hash = HashFamily(seed, rows=self._HASHES_PER_ROW * rows)
-        # int64 so that no overflow mode appears; the budget charges COUNTER_BYTES
-        self.counters = np.zeros((rows, width), dtype=np.int64)
+        self.counters = np.zeros((rows, width), dtype=self._DTYPE)
         self.heap = _TopKHeap(heap_capacity)
 
     def insert(self, f: int) -> None:
@@ -194,62 +269,35 @@ class _SketchHeapBase:
         for r in range(self.rows):
             i = self.hash.index(r, f, self.width)
             s = self._sign(r, f)
-            v = counters.item(r, i) + s
+            v = self._add(counters.item(r, i), s)
             counters[r, i] = v
             ests.append(s * v)
-        # the rows just written give query()'s value: the running estimate
-        self._admit((f,), (self._estimate(ests),))
+        self.heap.offer(f, self._estimate(ests))
+
+    def insert_trace(self, keys: np.ndarray) -> None:
+        """Bulk insert pass, equivalent to insert() per key: one call of the
+        native kernel, or the insert() loop when the kernel is not built."""
+        keys = np.ascontiguousarray(key_array(keys))
+        if native.NATIVE is None:
+            for f in keys.tolist():
+                self.insert(f)
+            return
+        heap = self.heap
+        seeds = self.hash.row_seeds
+        heap.size = native.NATIVE.sketch_heap.sketch_heap_pass(
+            keys.ctypes.data, keys.size,
+            pinned(self.counters, self.rows * self.width * COUNTER_BYTES), self.rows,
+            self.width, (ctypes.c_uint64 * len(seeds))(*seeds), self._COUNT_SKETCH,
+            (ctypes.c_int32 * self.rows)(), pinned(heap.keys, 4 * heap.capacity),
+            pinned(heap.ests, 4 * heap.capacity), pinned(heap.tix, 4 * heap.capacity),
+            pinned(heap.table, 4 * len(heap.table)), len(heap.table), heap.capacity,
+            heap.size)
 
     def query(self, f: int) -> int:
         f = check_key(f)
         return self._estimate([self._sign(r, f) *
                                self.counters.item(r, self.hash.index(r, f, self.width))
                                for r in range(self.rows)])
-
-    def _admit(self, keys, ests) -> None:
-        """Offer each (key, estimate) to the top-k heap, in order."""
-        heap = self.heap
-        pos = heap.pos
-        entries = heap.entries
-        capacity = heap.capacity
-        for f, est in zip(keys, ests):
-            if f in pos:
-                heap.update(f, est)
-            elif len(entries) < capacity:
-                heap.push(f, est)
-            elif est > entries[0][0]:
-                heap.replace_min(f, est)
-
-    def insert_trace(self, keys: np.ndarray) -> None:
-        keys = key_array(keys)
-        self._admit(keys.tolist(), self._running_estimates(keys).tolist())
-
-    def _add_running(self, row: int, idx: np.ndarray, step) -> np.ndarray:
-        """Add step (scalar or per packet) to counter idx[j] of the row for
-        each packet j, and return each packet's post-add value in packet
-        order: the pre-batch value plus a prefix sum over the packets at the
-        same index, which a stable sort keeps in packet order."""
-        counters = self.counters[row]
-        order = np.argsort(idx, kind="stable")
-        sidx = idx[order]
-        steps = np.broadcast_to(step, idx.shape)[order]
-        csum = np.cumsum(steps)
-        starts = np.flatnonzero(np.diff(sidx, prepend=-1))
-        lengths = np.diff(starts, append=idx.size)
-        running = csum - np.repeat(csum[starts] - steps[starts], lengths) + counters[sidx]
-        ends = starts + lengths - 1
-        counters[sidx[ends]] = running[ends]
-        out = np.empty_like(running)
-        out[order] = running
-        return out
-
-    def _running_estimates(self, keys: np.ndarray) -> np.ndarray:
-        """insert()'s estimate for each packet of the batch, updating the rows."""
-        ests = []
-        for r in range(self.rows):
-            s = self._signs(r, keys)
-            ests.append(s * self._add_running(r, self.hash.index_array(r, keys, self.width), s))
-        return self._combine(ests)
 
     def _estimates(self, keys: np.ndarray) -> np.ndarray:
         """query() of each key, with one vectorised hash pass per row."""
@@ -261,22 +309,36 @@ class _SketchHeapBase:
         """Heap residents with estimates refreshed from the sketch, as
         query() computes them, in (-estimate, key) order."""
         check_threshold(threshold)
-        keys = [e[1] for e in self.heap.entries]
-        ests = self._estimates(np.array(keys, dtype=np.uint64)).tolist()
-        out = [(k, est) for k, est in zip(keys, ests) if est >= threshold]
+        keys = np.frombuffer(self.heap.keys, np.uint32)[:self.heap.size]
+        ests = self._estimates(keys).tolist()
+        out = [(k, est) for k, est in zip(keys.tolist(), ests) if est >= threshold]
         out.sort(key=lambda kc: (-kc[1], kc[0]))
         return out
+
+    def uncharged_bytes(self) -> int:
+        """Bytes of the heap's key->slot lookup (its table and each slot's
+        table index), which the budget does not charge."""
+        heap = self.heap
+        return (len(heap.table) + len(heap.tix)) * heap.table.itemsize
 
 
 class CMHeap(_SketchHeapBase):
     """Count-Min sketch with a min-heap tracking the current top-k flows:
-    every step is +1, and the estimate is the row minimum."""
+    uint32 counters, every step +1, saturating at 2**32 - 1, and the row
+    minimum as the estimate."""
+
+    _DTYPE = np.uint32
+    _COUNT_SKETCH = False
 
     def _sign(self, r: int, f: int) -> int:
         return 1
 
     def _signs(self, r: int, keys: np.ndarray) -> int:
         return 1
+
+    @staticmethod
+    def _add(c: int, s: int) -> int:
+        return c + (c < _U32_MAX)
 
     def _estimate(self, ests: list[int]) -> int:
         return min(ests)
@@ -286,10 +348,13 @@ class CMHeap(_SketchHeapBase):
 
 
 class CountHeap(_SketchHeapBase):
-    """Count sketch with a top-k min-heap: each step is the key's hashed
-    sign, and the estimate is the upper median over rows, floored at 0."""
+    """Count sketch with a top-k min-heap: int32 counters, each step the
+    key's hashed sign, clamped at +-(2**31 - 1), and the upper median over
+    rows, floored at 0, as the estimate."""
 
     _HASHES_PER_ROW = 2
+    _DTYPE = np.int32
+    _COUNT_SKETCH = True
 
     def _sign(self, r: int, f: int) -> int:
         return self.hash.sign(self.rows + r, f)
@@ -298,6 +363,11 @@ class CountHeap(_SketchHeapBase):
         """sign() of each key under counter row r, as int64 +1/-1."""
         odd = self.hash.value_array(self.rows + r, keys) & np.uint64(1)
         return 2 * odd.astype(np.int64) - 1
+
+    @staticmethod
+    def _add(c: int, s: int) -> int:
+        v = c + s
+        return v if -_COUNT_MAX <= v <= _COUNT_MAX else c
 
     def _estimate(self, ests: list[int]) -> int:
         return max(sorted(ests)[len(ests) // 2], 0)

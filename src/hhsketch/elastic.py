@@ -12,25 +12,21 @@ every other miss there. A cell is empty exactly when its votes are 0, so every
 
 The state is fixed-width, as the memory accounting charges it: ids, votes and
 negative votes are array('I'), flags and light counters bytearrays. The bulk
-pass is one C function for both variants (elastic_kernel.c), compiled on first
-import into `_native/` beside this file and loaded with ctypes; `NATIVE` is
-its handle, or None when it cannot be built, and then `insert_trace` loops
-`insert()`, the reference both paths must match.
+pass is one C function for both variants (elastic_kernel.c), which
+`native.py` compiles and loads; when `native.NATIVE` is None, `insert_trace`
+loops `insert()`, the reference both paths must match.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import warnings
 from array import array
-from pathlib import Path
 
 import numpy as np
 
+from . import native
 from .core import HashFamily, check_key, check_threshold, key_array
+from .native import pinned
 
 _VOTE_MAX = 0xFFFFFFFF
 _LIGHT_MAX = 255
@@ -41,61 +37,6 @@ REPLACEMENT = "replacement"
 DISCARD = "discard"
 TO_LIGHT = "to_light"
 EVICTION = "eviction"
-
-_SOURCE = Path(__file__).with_name("elastic_kernel.c")
-_CACHE = Path(__file__).with_name("_native")
-_CC = ("cc", "-std=c99", "-O2", "-shared", "-fPIC")
-_PTR = ctypes.c_void_p
-_U64 = ctypes.c_uint64
-
-
-def load_kernel(cache: Path = _CACHE):
-    """ctypes handle of elastic_kernel.c, or None with one warning when it
-    cannot be built or loaded. The library is compiled once into `cache`,
-    under a name hashed from the source and the compiler command, through a
-    temporary file renamed into place, so concurrent builds never load a
-    partial file and a stale build is never loaded."""
-    try:
-        tag = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CC).encode()).hexdigest()[:16]
-        lib = cache / f"elastic-{tag}.so"
-        if not lib.is_file():
-            cache.mkdir(exist_ok=True)
-            tmp = cache / f"elastic-{tag}.{os.getpid()}.tmp"
-            try:
-                subprocess.run([*_CC, "-o", str(tmp), str(_SOURCE)], check=True,
-                               capture_output=True)
-                os.replace(tmp, lib)
-            finally:
-                tmp.unlink(missing_ok=True)
-        kernel = ctypes.CDLL(str(lib))
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", None) or b""
-        warnings.warn(f"native Elastic insert pass unavailable, insert_trace loops "
-                      f"insert(): {exc} {detail.decode(errors='replace')}".rstrip(),
-                      RuntimeWarning, stacklevel=2)
-        return None
-    kernel.mix64.argtypes = [_U64]
-    kernel.mix64.restype = _U64
-    kernel.elastic_pass.argtypes = [
-        _PTR, ctypes.c_size_t, _PTR, _PTR, _PTR, _U64, _U64, ctypes.c_size_t,
-        ctypes.c_double, ctypes.c_int, ctypes.c_int, _PTR, _PTR, _U64, _U64, _PTR]
-    kernel.elastic_pass.restype = None
-    return kernel
-
-
-NATIVE = load_kernel()
-
-
-def _pinned(buf, nbytes: int):
-    """Pointer argument for a writable buffer (an array('I') or a bytearray)
-    that the kernel writes in place, after checking that it holds exactly
-    nbytes. The call runs without the GIL; while the argument lives it holds
-    an export of the buffer, so a resize from another thread raises
-    BufferError instead of freeing memory the kernel writes."""
-    if memoryview(buf).nbytes != nbytes:
-        raise ValueError(f"a sketch buffer holds {memoryview(buf).nbytes} bytes, "
-                         f"expected {nbytes}")
-    return ctypes.byref(ctypes.c_char.from_buffer(buf))
 
 
 def bucket_footprint(cells_per_bucket: int) -> int:
@@ -171,17 +112,16 @@ class _ElasticBucket:
         """Bulk insert pass, equivalent to insert() per key: one call of the
         native kernel, or the insert() loop when the kernel is not built."""
         keys = np.ascontiguousarray(key_array(keys))
-        if NATIVE is None:
+        if native.NATIVE is None:
             for f in keys.tolist():
                 self.insert(f)
             return
         cells = self.bucket_count * self.cells_per_bucket
         tallies = (ctypes.c_uint64 * 5)()
-        NATIVE.elastic_pass(keys.ctypes.data, keys.size, _pinned(self.ids, 4 * cells),
-                            _pinned(self.votes, 4 * cells),
-                            _pinned(self.vote_minus, 4 * self.bucket_count),
-                            self.hash.row_seeds[0], self.bucket_count,
-                            self.cells_per_bucket, self.lam, *self._native_rule(), tallies)
+        native.NATIVE.elastic.elastic_pass(
+            keys.ctypes.data, keys.size, pinned(self.ids, 4 * cells), pinned(self.votes, 4 * cells),
+            pinned(self.vote_minus, 4 * self.bucket_count), self.hash.row_seeds[0],
+            self.bucket_count, self.cells_per_bucket, self.lam, *self._native_rule(), tallies)
         hits, empty_inserts, wins, losses, clipped = tallies
         self.hits += hits
         self.empty_inserts += empty_inserts
@@ -312,8 +252,8 @@ class ElasticStd(_ElasticBucket):
     def _native_rule(self) -> tuple:
         # `_full` for the kernel: win at vm >= lam * min_v, restart at 1 vote
         # with the flag set, add the residue to the light part
-        return (True, True, _pinned(self.flags, self.bucket_count * self.cells_per_bucket),
-                _pinned(self.light, self.light_size), self.hash.row_seeds[1],
+        return (True, True, pinned(self.flags, self.bucket_count * self.cells_per_bucket),
+                pinned(self.light, self.light_size), self.hash.row_seeds[1],
                 self.light_size)
 
     def _tally(self, wins: int, losses: int, clipped: int) -> None:

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from hhsketch import Oracle, elastic, generate_zipf
+from hhsketch import Oracle, generate_zipf, native
 
 
 @pytest.fixture(scope="session")
@@ -27,10 +27,10 @@ def zero_and_max_trace(tmp_path):
 
 
 @pytest.fixture
-def python_pass(monkeypatch):
-    """Elastic insert_trace as it runs when the native kernel cannot be
+def no_native(monkeypatch):
+    """Every insert_trace as it runs when the native kernels cannot be
     built: the insert() loop."""
-    monkeypatch.setattr(elastic, "NATIVE", None)
+    monkeypatch.setattr(native, "NATIVE", None)
 
 
 def state(s):

@@ -126,9 +126,9 @@ def test_criterion_2_conservation():
             f"({std_checked} clip-free heavy+light checks)")
 
 
-def test_criterion_2_conservation_on_python_pass(python_pass):
+def test_criterion_2_conservation_on_python_pass(no_native):
     # the same identities through the insert() loop that runs when the
-    # native kernel cannot be built
+    # native kernels cannot be built
     test_criterion_2_conservation()
 
 

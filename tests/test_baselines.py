@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hhsketch import CMHeap, CountHeap, Oracle, SpaceSaving, generate_zipf
-from hhsketch.baselines import _TopKHeap
-from conftest import random_trace
+from hhsketch import CMHeap, CountHeap, Oracle, SpaceSaving, Trace, generate_zipf
+from hhsketch.baselines import COUNTER_BYTES, HEAP_NODE_BYTES, _TopKHeap
+from conftest import random_trace, state
 
 
 class TestSpaceSaving:
@@ -129,7 +131,7 @@ class TestTopKHeap:
                 ref[key] = est
             elif est > min(ref.values()):
                 # mirror replace_min: drop the heap's own min key
-                mn_key = h.entries[0][1]
+                mn_key = h.min_key()
                 del ref[mn_key]
                 h.replace_min(key, est)
                 ref[key] = est
@@ -241,3 +243,103 @@ class TestCountHeap:
         b.insert_trace(tr.keys)
         assert np.array_equal(a.counters, b.counters)
         assert sorted(a.heap.items()) == sorted(b.heap.items())
+
+
+def feed(sketch, entry, keys):
+    """Feed the keys through the named entry point, "insert" or "insert_trace"."""
+    if entry == "insert":
+        for f in keys:
+            sketch.insert(f)
+    else:
+        sketch.insert_trace(np.array(keys, dtype=np.uint32))
+
+
+@pytest.fixture(params=["native", "python"])
+def bulk_path(request):
+    """Each test runs on the native pass and on the insert() loop."""
+    if request.param == "python":
+        request.getfixturevalue("no_native")
+
+
+class TestFixedWidth:
+    @pytest.mark.parametrize("cls, dtype", [(CMHeap, np.uint32), (CountHeap, np.int32)])
+    @pytest.mark.parametrize("memory, rows, capacity", [(300 * 1024, 3, 4096), (1000, 2, 5)])
+    def test_state_is_what_the_budget_charges(self, cls, dtype, memory, rows, capacity):
+        s = cls(memory, rows=rows, heap_capacity=capacity)
+        assert s.counters.dtype == dtype
+        assert s.counters.nbytes == rows * s.width * COUNTER_BYTES
+        h = s.heap
+        assert h.keys.itemsize + h.ests.itemsize == HEAP_NODE_BYTES
+        assert len(h.keys) == len(h.ests) == capacity
+        assert s.counters.nbytes + capacity * HEAP_NODE_BYTES <= memory
+        # the key->slot lookup: a table of at least 2 entries per node, and
+        # each node's table index
+        assert len(h.table) >= 2 * capacity
+        assert s.uncharged_bytes() == 4 * (len(h.table) + capacity)
+
+    def test_count_min_counter_saturates(self, bulk_path):
+        a, b = (CMHeap(4096, heap_capacity=8, charge_heap=False) for _ in range(2))
+        for s in (a, b):
+            s.counters[:] = 2**32 - 3
+        feed(a, "insert", [9] * 5)
+        feed(b, "insert_trace", [9] * 5)
+        assert state(a) == state(b)
+        hit = [(r, a.hash.index(r, 9, a.width)) for r in range(a.rows)]
+        assert [a.counters[r, i] for r, i in hit] == [2**32 - 1] * a.rows
+        assert np.count_nonzero(a.counters != 2**32 - 3) == a.rows
+        assert a.query(9) == 2**32 - 1
+        assert a.heap.items() == [(9, 2**32 - 1)]
+
+    def test_count_counter_clamps_at_both_signs(self, bulk_path):
+        a, b = (CountHeap(4096, heap_capacity=8, charge_heap=False) for _ in range(2))
+        rows = a.rows
+        # a key whose signs differ across rows, so each clamp is reached
+        f = next(k for k in range(1000)
+                 if len({a.hash.sign(rows + r, k) for r in range(rows)}) == 2)
+        signs = [a.hash.sign(rows + r, f) for r in range(rows)]
+        hit = [(r, a.hash.index(r, f, a.width)) for r in range(rows)]
+        for s in (a, b):
+            for (r, i), sign in zip(hit, signs):
+                s.counters[r, i] = sign * (2**31 - 3)
+        feed(a, "insert", [f] * 5)
+        feed(b, "insert_trace", [f] * 5)
+        assert state(a) == state(b)
+        assert [a.counters[r, i] for r, i in hit] == [sign * (2**31 - 1) for sign in signs]
+        assert a.query(f) == 2**31 - 1
+        assert a.heap.items() == [(f, 2**31 - 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cls=st.sampled_from([CMHeap, CountHeap]),
+    entry=st.sampled_from(["insert", "insert_trace"]),
+    rows=st.integers(1, 4),
+    width=st.integers(1, 16),
+    capacity=st.integers(1, 8),
+    flows=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=24, unique=True),
+    picks=st.lists(st.integers(0, 23), max_size=400),
+    seed=st.integers(0, 2**16),
+)
+def test_counters_are_the_oracle_sums(cls, entry, rows, width, capacity, flows, picks, seed):
+    # a linear sketch's row is the sum over flows of its step times the
+    # flow's true count, at the flow's hashed counter
+    keys = [flows[i % len(flows)] for i in picks]
+    s = cls(4 * rows * width, rows=rows, heap_capacity=capacity, seed=seed, charge_heap=False)
+    feed(s, entry, keys)
+    oracle = Oracle.from_trace(Trace(np.array(keys, dtype=np.uint32)))
+    seen = np.array(sorted(oracle.counts), dtype=np.uint32)
+    counts = np.array([oracle.true_count(f) for f in seen.tolist()], dtype=np.int64)
+    for r in range(rows):
+        if cls is CMHeap:
+            step = 1
+        else:
+            step = np.where(s.hash.value_array(rows + r, seen) & np.uint64(1), 1, -1)
+        want = np.zeros(s.width, dtype=np.int64)
+        np.add.at(want, s.hash.index_array(r, seen, s.width), step * counts)
+        assert np.array_equal(s.counters[r], want)
+    if cls is CMHeap:
+        assert all(s.query(f) >= oracle.true_count(f) for f in flows)
+
+
+def test_python_pass_counters_are_the_oracle_sums(no_native):
+    test_counters_are_the_oracle_sums()

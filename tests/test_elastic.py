@@ -1,22 +1,23 @@
 """Both Elastic variants: key 0 as an ordinary flow, scalar vs batched bulk
 insert over adversarial key orders on both bulk paths, and the build of the
-native kernel."""
+native kernels (`native.py`)."""
 
 import warnings
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhsketch import ElasticHH, ElasticStd, elastic
+from hhsketch import ElasticHH, ElasticStd, elastic, native
 from hhsketch.core import HashFamily, mix64
 from hhsketch.elastic import EMPTY_INSERT, HIT
 from conftest import ORDERS, draw_keys, feed_in_batches, state
 
-needs_native = pytest.mark.skipif(elastic.NATIVE is None,
-                                  reason="the native Elastic pass is not built")
+needs_native = pytest.mark.skipif(native.NATIVE is None,
+                                  reason="the native passes are not built")
 
 
 @pytest.mark.parametrize("cls", [ElasticHH, ElasticStd])
@@ -85,7 +86,7 @@ def test_scalar_and_bulk_insert_agree(cls, n_flows, n, order, buckets, cells, la
         assert total < packets if a.light_clipped else total == packets
 
 
-def test_python_pass_scalar_and_bulk_insert_agree(python_pass):
+def test_python_pass_scalar_and_bulk_insert_agree(no_native):
     test_scalar_and_bulk_insert_agree()
 
 
@@ -94,7 +95,7 @@ def test_python_pass_scalar_and_bulk_insert_agree(python_pass):
 def test_native_mix64_is_core_mix64(seed):
     for row_seed in HashFamily(seed, rows=2).row_seeds:
         for key in (0, 1, 0xFFFFFFFF):
-            assert elastic.NATIVE.mix64(row_seed ^ key) == mix64(row_seed ^ key)
+            assert native.NATIVE.elastic.mix64(row_seed ^ key) == mix64(row_seed ^ key)
 
 
 @needs_native
@@ -114,7 +115,7 @@ def test_pinned_buffer_cannot_be_resized_during_the_call():
     # the kernel runs without the GIL, so another thread must not be able to
     # move a buffer it writes
     buf = array("I", [0, 0])
-    arg = elastic._pinned(buf, 8)
+    arg = native.pinned(buf, 8)
     with pytest.raises(BufferError):
         buf.append(0)
     del arg
@@ -123,23 +124,43 @@ def test_pinned_buffer_cannot_be_resized_during_the_call():
 
 @pytest.mark.parametrize("compiler", [("false",), ("no-such-compiler",)])
 def test_failed_build_falls_back_with_one_warning(compiler, tmp_path, monkeypatch):
-    monkeypatch.setattr(elastic, "_CC", compiler)
+    monkeypatch.setattr(native, "_CC", compiler)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert elastic.load_kernel(tmp_path) is None
+        assert native.load_kernels(tmp_path) is None
     assert [w.category for w in caught] == [RuntimeWarning]
     assert "insert_trace loops insert()" in str(caught[0].message)
     assert list(tmp_path.iterdir()) == []  # no partial library left behind
 
 
+KERNELS = sorted(p.name.removesuffix("_kernel.c")
+                 for p in Path(native.__file__).parent.glob("*_kernel.c"))
+
+
 @needs_native
 def test_second_load_reuses_the_cached_build(tmp_path, monkeypatch):
-    assert elastic.load_kernel(tmp_path) is not None
+    assert native.load_kernels(tmp_path) is not None
     built = sorted(tmp_path.iterdir())
-    assert [p.suffix for p in built] == [".so"]
+    assert [p.suffix for p in built] == [".so"] * len(KERNELS)
 
     def no_compiler(*args, **kwargs):
         raise AssertionError("the cached build was compiled again")
-    monkeypatch.setattr(elastic.subprocess, "run", no_compiler)
-    assert elastic.load_kernel(tmp_path) is not None
+    monkeypatch.setattr(native.subprocess, "run", no_compiler)
+    assert native.load_kernels(tmp_path) is not None
     assert sorted(tmp_path.iterdir()) == built
+
+
+@needs_native
+def test_a_new_build_removes_the_stale_ones(tmp_path, monkeypatch):
+    # one build per kernel under other flags, then under the current ones
+    with monkeypatch.context() as m:
+        m.setattr(native, "_CC", (*native._CC, "-DSTALE"))
+        assert native.load_kernels(tmp_path) is not None
+    stale = sorted(tmp_path.iterdir())
+    current = tmp_path / "current"
+    assert native.load_kernels(current) is not None
+    assert native.load_kernels(tmp_path) is not None
+    left = sorted(p.name for p in tmp_path.glob("*.so"))
+    assert left == sorted(p.name for p in current.iterdir())
+    assert [name.split("-")[0] for name in left] == KERNELS
+    assert not set(left) & {p.name for p in stale}

@@ -143,7 +143,7 @@ class TestInsertOutcomesNative(TestInsertOutcomes):
     entry = "insert_trace"
 
 
-@pytest.mark.usefixtures("python_pass")
+@pytest.mark.usefixtures("no_native")
 class TestInsertOutcomesPython(TestInsertOutcomes):
     entry = "insert_trace"
 

@@ -1,5 +1,6 @@
 """insert_trace against the scalar insert() loop for Space-Saving and the two
-sketch + heap trackers, and the input rules that all five sketches share,
+sketch + heap trackers (for these two, the native pass against the Python
+reference), and the input rules that all five sketches share,
 tested once over ALGOS at every entry point: the empty batch, keys 0 and
 0xFFFFFFFF, bad keys, bad thresholds, and numpy integers as keys and
 thresholds."""
@@ -28,9 +29,9 @@ def make(kind, rows, width, capacity, seed):
 @settings(max_examples=200, deadline=None)
 @given(
     kind=st.sampled_from(["cmheap", "countheap", "spacesaving"]),
-    rows=st.integers(1, 4),
+    rows=st.integers(1, 9),
     width=st.integers(1, 8),
-    capacity=st.integers(1, 8),
+    capacity=st.one_of(st.integers(1, 8), st.integers(9, 80)),
     n_flows=st.integers(1, 64),
     n=st.sampled_from([1, 8, 100, 1000]),
     order=st.sampled_from(sorted(ORDERS)),
@@ -48,6 +49,23 @@ def test_batched_bulk_matches_scalar_insert(kind, rows, width, capacity, n_flows
     for f in keys:
         a.insert(f)
     feed_in_batches(b, keys, cuts)
+    assert state(a) == state(b)
+
+
+def test_python_pass_batched_bulk_matches_scalar_insert(no_native):
+    test_batched_bulk_matches_scalar_insert()
+
+
+@pytest.mark.parametrize("cls", [CMHeap, CountHeap])
+def test_default_heap_matches_scalar_insert(cls):
+    # a 4096-node heap that fills and then replaces its minimum thousands
+    # of times, in 7,777-packet batches
+    keys = generate_zipf(40_000, 20_000, 0.8, 3).keys
+    a, b = cls(64 * 1024), cls(64 * 1024)
+    for f in keys.tolist():
+        a.insert(f)
+    feed_in_batches(b, keys, range(0, keys.size, 7_777))
+    assert a.heap.size == a.heap.capacity
     assert state(a) == state(b)
 
 

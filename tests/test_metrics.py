@@ -119,7 +119,7 @@ class TestThroughput:
         assert list(res) == ["hh", "noop"]
         assert all(len(samples) == 3 and min(samples) > 0 for samples in res.values())
 
-    def test_noop_calibration_is_faster(self, python_pass):
+    def test_noop_calibration_is_faster(self, no_native):
         # the bare loop bounds a sketch whose pass is a Python loop, as the
         # Elastic pass is without its native kernel
         tr = generate_zipf(20_000, 2000, 1.0, 2)
