@@ -3,16 +3,18 @@
 All three expose the same surface as the Elastic variants: insert(),
 insert_trace(), query(), report(). Memory accounting is byte-budget based so
 the algorithms can be compared at equal total memory; the top-k heap's nodes
-are charged against the budget by default (configurable). CMHeap and
-CountHeap keep fixed-width state, and their insert_trace is one native pass
-for both (sketch_heap_kernel.c).
+are charged against the budget by default (configurable). All three keep
+fixed-width state. Space-Saving's insert_trace is one native pass
+(spacesaving_kernel.c), and CMHeap and CountHeap share another
+(sketch_heap_kernel.c); `native.NATIVE` switches these and the Elastic pass
+together, and without it every insert_trace loops the scalar insert().
 """
 
 from __future__ import annotations
 
 import ctypes
-import heapq
 from array import array
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -24,92 +26,32 @@ SS_ENTRY_BYTES = 12     # key + count + overestimation error, 4B each
 HEAP_NODE_BYTES = 8     # key + estimate
 COUNTER_BYTES = 4
 
-_U32_MAX = 0xFFFFFFFF   # a Count-Min counter's maximum, and the 32-bit mask
+_U32_MAX = 0xFFFFFFFF   # a Count-Min or Space-Saving count's maximum, and the 32-bit mask
 _COUNT_MAX = 0x7FFFFFFF  # a Count sketch counter's bound, either sign
-_FIB = 0x9E3779B1       # the heap table's Fibonacci hash multiplier
+_FIB = 0x9E3779B1       # the key table's Fibonacci hash multiplier
 
 
-class SpaceSaving:
-    """Space-Saving table of up to k monitored (flow, count, error) entries.
-
-    The min-ordered structure is a binary heap holding exactly one (count,
-    key) entry per monitored flow. A hit updates only `counts`, so an entry
-    may under-state its flow's count; counts only grow, so an eviction
-    refreshes stale tops until the top is live, and that top is the
-    lexicographic minimum (count, key) over the monitored flows.
-    """
-
-    def __init__(self, memory_bytes: int):
-        self.capacity = memory_bytes // SS_ENTRY_BYTES
-        if self.capacity < 1:
-            raise ValueError(f"memory {memory_bytes}B is below one {SS_ENTRY_BYTES}B entry")
-        self.memory_bytes = memory_bytes
-        self.counts: dict[int, int] = {}
-        self.errors: dict[int, int] = {}
-        self._heap: list[tuple[int, int]] = []
-
-    def insert(self, f: int) -> None:
-        self._insert(check_key(f))
-
-    def _insert(self, f: int) -> None:
-        counts = self.counts
-        c = counts.get(f)
-        if c is not None:
-            counts[f] = c + 1
-        elif len(counts) < self.capacity:
-            counts[f] = 1
-            self.errors[f] = 0
-            heapq.heappush(self._heap, (1, f))
-        else:
-            heap = self._heap
-            # refresh stale tops until the top carries its flow's live count
-            while True:
-                c0, k0 = heap[0]
-                live = counts[k0]
-                if live == c0:
-                    break
-                heapq.heapreplace(heap, (live, k0))
-            del counts[k0]
-            del self.errors[k0]
-            counts[f] = c0 + 1
-            self.errors[f] = c0
-            heapq.heapreplace(heap, (c0 + 1, f))
-
-    def insert_trace(self, keys: np.ndarray) -> None:
-        insert = self._insert
-        for f in key_array(keys).tolist():
-            insert(f)
-
-    def query(self, f: int) -> int:
-        return self.counts.get(check_key(f), 0)
-
-    def report(self, threshold: int) -> list[tuple[int, int]]:
-        check_threshold(threshold)
-        out = [(k, c) for k, c in self.counts.items() if c >= threshold]
-        out.sort(key=lambda kc: (-kc[1], kc[0]))
-        return out
+def _bump(c: int) -> int:
+    """A Space-Saving count plus one, saturating at 2**32 - 1: the step of a
+    hit and of an eviction alike."""
+    return c + (c < _U32_MAX)
 
 
-class _TopKHeap:
-    """Indexed min-heap of (estimate, key) with O(log n) keyed updates.
+class _KeyTable:
+    """Flow keys by slot, the first `size` of `capacity` slots in use, with
+    a key->slot lookup.
 
-    keys and ests hold the entries by slot, the first `size` of `capacity`
-    slots in use, and no parent's estimate exceeds its children's. A key's
-    slot is found in `table`, a power of two of at least 2 * capacity
-    entries, by linear probing from the key's Fibonacci hash; an entry holds
+    The lookup is `table`, a power of two of at least 2 * capacity entries,
+    searched by linear probing from the key's Fibonacci hash; an entry holds
     slot + 1, or 0 when empty, and a deletion shifts the rest of its cluster
     back, so no tombstone is left. tix holds each slot's table index. The
-    native pass (sketch_heap_kernel.c) writes the same arrays by the same
-    rules, so both leave the same state.
+    budget charges the keys; the table and tix are `uncharged_bytes()`.
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("heap capacity must be >= 1")
         self.capacity = capacity
         self.size = 0
         self.keys = array("I", [0]) * capacity
-        self.ests = array("I", [0]) * capacity
         self.tix = array("I", [0]) * capacity
         bits = (2 * capacity - 1).bit_length()
         self.table = array("I", [0]) * (1 << bits)
@@ -121,64 +63,15 @@ class _TopKHeap:
     def _probe(self, key: int) -> int:
         """Table index of key's entry, or of the empty entry that ends its probe."""
         table = self.table
-        keys = self.keys
-        mask = len(table) - 1
-        t = self._home(key)
-        while table[t] and keys[table[t] - 1] != key:
-            t = (t + 1) & mask
+        t = ((key * _FIB) & _U32_MAX) >> self.shift  # _home(key), inlined
+        s = table[t]
+        while s and self.keys[s - 1] != key:
+            t = (t + 1) & (len(table) - 1)
+            s = table[t]
         return t
 
     def __contains__(self, key: int) -> bool:
         return self.table[self._probe(key)] != 0
-
-    def min_estimate(self) -> int:
-        return self.ests[0] if self.size else 0
-
-    def min_key(self) -> int:
-        """Key of the minimum entry, which replace_min() drops."""
-        if not self.size:
-            raise IndexError("the heap is empty")
-        return self.keys[0]
-
-    def items(self) -> list[tuple[int, int]]:
-        return list(zip(self.keys[:self.size], self.ests[:self.size]))
-
-    def offer(self, key: int, est: int) -> None:
-        """Update key's entry, add it while there is room, or let it replace
-        the minimum when est exceeds the minimum's estimate."""
-        if key in self:
-            self.update(key, est)
-        elif self.size < self.capacity:
-            self.push(key, est)
-        elif est > self.ests[0]:
-            self.replace_min(key, est)
-
-    def push(self, key: int, est: int) -> None:
-        if self.size == self.capacity:
-            raise IndexError("the heap is full")
-        i = self.size
-        self.size += 1
-        self._place(i, key, est, self._probe(key))
-        self._sift_up(i)
-
-    def update(self, key: int, est: int) -> None:
-        i = self.table[self._probe(key)] - 1
-        if i < 0:
-            raise KeyError(key)
-        self.ests[i] = est
-        self._sift_up(self._sift_down(i))
-
-    def replace_min(self, key: int, est: int) -> None:
-        # unlink first: at most capacity entries, so an empty one ends every scan
-        self._unlink(self.tix[0])
-        self._place(0, key, est, self._probe(key))
-        self._sift_down(0)
-
-    def _place(self, i: int, key: int, est: int, t: int) -> None:
-        self.keys[i] = key
-        self.ests[i] = est
-        self.tix[i] = t
-        self.table[t] = i + 1
 
     def _unlink(self, t: int) -> None:
         """Empty table entry t by backward shift: a later entry of the
@@ -195,6 +88,238 @@ class _TopKHeap:
                 t = j
             j = (j + 1) & mask
         table[t] = 0
+
+    def uncharged_bytes(self) -> int:
+        """Bytes of the key->slot lookup (the table and each slot's table
+        index), which the budget does not charge."""
+        return (len(self.table) + len(self.tix)) * self.table.itemsize
+
+
+class _SlotView(Mapping):
+    """Read-only {flow: value} view of one per-slot array of a SpaceSaving
+    table; a lookup is one table probe."""
+
+    __slots__ = ("_table", "_values")
+
+    def __init__(self, table: SpaceSaving, values: array):
+        self._table = table
+        self._values = values
+
+    def __getitem__(self, f) -> int:
+        try:
+            t = self._table._probe(check_key(f))
+        except ValueError:
+            raise KeyError(f) from None
+        i = self._table.table[t] - 1
+        if i < 0:
+            raise KeyError(f)
+        return self._values[i]
+
+    def __iter__(self):
+        return iter(self._table.keys[:self._table.size])
+
+    def __len__(self) -> int:
+        return self._table.size
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class SpaceSaving(_KeyTable):
+    """Space-Saving table of up to k monitored (flow, count, error) entries
+    (Metwally, Agrawal and El Abbadi, ICDT 2005).
+
+    The entries are fixed-width, SS_ENTRY_BYTES each as the budget charges
+    them: `keys`, `slot_counts` and `slot_errors` are array('I') by slot,
+    kept as a min-heap on (count, key), found by key through `_KeyTable`'s
+    lookup. A hit adds 1 to the flow's count and sifts it down; a new flow
+    is pushed with count 1 and error 0 while there is room; otherwise it
+    takes the root's slot, the lexicographic minimum (count, key) over the
+    monitored flows, with count c0 + 1 and error c0, and sifts down. Keys
+    are distinct, so that order has no ties and any exact min-structure on
+    it evicts the same flow. Counts saturate at 2**32 - 1. insert_trace is
+    one native pass (spacesaving_kernel.c) over the same arrays by the same
+    rules, or the insert() loop when `native.NATIVE` is None; insert() is
+    the reference both paths must match. `counts` and `errors` are
+    read-only {flow: value} views.
+    """
+
+    def __init__(self, memory_bytes: int):
+        capacity = memory_bytes // SS_ENTRY_BYTES
+        if capacity < 1:
+            raise ValueError(f"memory {memory_bytes}B is below one {SS_ENTRY_BYTES}B entry")
+        super().__init__(capacity)
+        self.memory_bytes = memory_bytes
+        self.slot_counts = array("I", [0]) * capacity
+        self.slot_errors = array("I", [0]) * capacity
+
+    @property
+    def counts(self) -> Mapping[int, int]:
+        return _SlotView(self, self.slot_counts)
+
+    @property
+    def errors(self) -> Mapping[int, int]:
+        return _SlotView(self, self.slot_errors)
+
+    def insert(self, f: int) -> None:
+        self._insert(check_key(f))
+
+    def _insert(self, f: int) -> None:
+        t = self._probe(f)
+        i = self.table[t] - 1
+        if i >= 0:
+            self._sift_down(i, f, _bump(self.slot_counts[i]), self.slot_errors[i], t)
+        elif self.size < self.capacity:
+            self.size += 1
+            self._sift_up(self.size - 1, f, 1, 0, t)
+        else:
+            # the unlink can open a hole on f's probe path, so probe again
+            c0 = self.slot_counts[0]
+            self._unlink(self.tix[0])
+            self._sift_down(0, f, _bump(c0), c0, self._probe(f))
+
+    def _put(self, i: int, key: int, count: int, error: int, t: int) -> None:
+        self.keys[i] = key
+        self.slot_counts[i] = count
+        self.slot_errors[i] = error
+        self.tix[i] = t
+        self.table[t] = i + 1
+
+    def _sift_up(self, i: int, key: int, count: int, error: int, t: int) -> None:
+        """Place the entry at the hole i or above it, moving larger parents down."""
+        keys, counts = self.keys, self.slot_counts
+        rank = count << 32 | key
+        while i > 0:
+            p = (i - 1) >> 1
+            if counts[p] << 32 | keys[p] < rank:
+                break
+            self._put(i, keys[p], counts[p], self.slot_errors[p], self.tix[p])
+            i = p
+        self._put(i, key, count, error, t)
+
+    def _sift_down(self, i: int, key: int, count: int, error: int, t: int) -> None:
+        """Place the entry at the hole i or below it, moving smaller children up."""
+        keys, counts = self.keys, self.slot_counts
+        n = self.size
+        rank = count << 32 | key
+        while True:
+            child = 2 * i + 1
+            if child >= n:
+                break
+            rc = counts[child] << 32 | keys[child]
+            if child + 1 < n:
+                r2 = counts[child + 1] << 32 | keys[child + 1]
+                if r2 < rc:
+                    child += 1
+                    rc = r2
+            if rc > rank:
+                break
+            self._put(i, keys[child], counts[child], self.slot_errors[child], self.tix[child])
+            i = child
+        self._put(i, key, count, error, t)
+
+    def insert_trace(self, keys: np.ndarray) -> None:
+        """Bulk insert pass, equivalent to insert() per key: one call of the
+        native kernel, or the insert() loop when the kernel is not built."""
+        keys = np.ascontiguousarray(key_array(keys))
+        if native.NATIVE is None:
+            insert = self._insert
+            for f in keys.tolist():
+                insert(f)
+            return
+        nbytes = 4 * self.capacity
+        self.size = native.NATIVE.spacesaving.spacesaving_pass(
+            keys.ctypes.data, keys.size, pinned(self.keys, nbytes),
+            pinned(self.slot_counts, nbytes), pinned(self.slot_errors, nbytes),
+            pinned(self.tix, nbytes), pinned(self.table, 4 * len(self.table)),
+            len(self.table), self.capacity, self.size)
+
+    def query(self, f: int) -> int:
+        i = self.table[self._probe(check_key(f))] - 1
+        return self.slot_counts[i] if i >= 0 else 0
+
+    def report(self, threshold: int) -> list[tuple[int, int]]:
+        """Monitored (flow, count) pairs with count >= threshold, in
+        (-count, key) order."""
+        check_threshold(threshold)
+        keys = np.frombuffer(self.keys, np.uint32)[:self.size]
+        counts = np.frombuffer(self.slot_counts, np.uint32)[:self.size]
+        keep = np.flatnonzero(counts >= threshold)
+        keys, counts = keys[keep], counts[keep]
+        order = np.lexsort((keys, -counts.astype(np.int64)))
+        return list(zip(keys[order].tolist(), counts[order].tolist()))
+
+
+class _TopKHeap(_KeyTable):
+    """Indexed min-heap of (estimate, key) with O(log n) keyed updates.
+
+    keys and ests hold the entries by slot, and no parent's estimate exceeds
+    its children's; `_KeyTable` finds a key's slot. The native pass
+    (sketch_heap_kernel.c) writes the same arrays by the same rules, so both
+    leave the same state.
+    """
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError("heap capacity must be >= 1")
+        super().__init__(capacity)
+        self.ests = array("I", [0]) * capacity
+
+    def min_estimate(self) -> int:
+        return self.ests[0] if self.size else 0
+
+    def min_key(self) -> int:
+        """Key of the minimum entry, which replace_min() drops."""
+        if not self.size:
+            raise IndexError("the heap is empty")
+        return self.keys[0]
+
+    def items(self) -> list[tuple[int, int]]:
+        return list(zip(self.keys[:self.size], self.ests[:self.size]))
+
+    def offer(self, key: int, est: int) -> None:
+        """Update key's entry, add it while there is room, or let it replace
+        the minimum when est exceeds the minimum's estimate."""
+        t = self._probe(key)
+        if self.table[t]:
+            self._set(self.table[t] - 1, est)
+        elif self.size < self.capacity:
+            self._push(key, est, t)
+        elif est > self.ests[0]:
+            self.replace_min(key, est)
+
+    def push(self, key: int, est: int) -> None:
+        if self.size == self.capacity:
+            raise IndexError("the heap is full")
+        self._push(key, est, self._probe(key))
+
+    def _push(self, key: int, est: int, t: int) -> None:
+        i = self.size
+        self.size += 1
+        self._place(i, key, est, t)
+        self._sift_up(i)
+
+    def update(self, key: int, est: int) -> None:
+        i = self.table[self._probe(key)] - 1
+        if i < 0:
+            raise KeyError(key)
+        self._set(i, est)
+
+    def _set(self, i: int, est: int) -> None:
+        self.ests[i] = est
+        self._sift_up(self._sift_down(i))
+
+    def replace_min(self, key: int, est: int) -> None:
+        # unlink first: at most capacity entries, so an empty one ends every scan
+        self._unlink(self.tix[0])
+        self._place(0, key, est, self._probe(key))
+        self._sift_down(0)
+
+    def _place(self, i: int, key: int, est: int, t: int) -> None:
+        self.keys[i] = key
+        self.ests[i] = est
+        self.tix[i] = t
+        self.table[t] = i + 1
 
     def _sift_up(self, i: int) -> int:
         keys, ests, tix = self.keys, self.ests, self.tix
@@ -316,10 +441,8 @@ class _SketchHeapBase:
         return out
 
     def uncharged_bytes(self) -> int:
-        """Bytes of the heap's key->slot lookup (its table and each slot's
-        table index), which the budget does not charge."""
-        heap = self.heap
-        return (len(heap.table) + len(heap.tix)) * heap.table.itemsize
+        """Bytes of the heap's key->slot lookup, which the budget does not charge."""
+        return self.heap.uncharged_bytes()
 
 
 class CMHeap(_SketchHeapBase):

@@ -1,12 +1,13 @@
 """The native insert passes: one loader for every `*_kernel.c` beside this file.
 
 Each kernel is compiled on first import into `_native/` beside this file and
-loaded with ctypes. `NATIVE` is the one switch for every sketch with a native
-pass: a namespace holding one library per kernel (`NATIVE.elastic`,
-`NATIVE.sketch_heap`), or None when any kernel cannot be built or loaded, and
-then every such sketch's `insert_trace` loops its scalar `insert()`, the
-reference both paths must match. A sketch holds no ctypes object, so it
-pickles alike on both paths; it reads `native.NATIVE` at each call.
+loaded with ctypes. `NATIVE` is the one switch for all five sketches: a
+namespace holding one library per kernel (`NATIVE.elastic` for both Elastic
+variants, `NATIVE.sketch_heap` for CMHeap and CountHeap, `NATIVE.spacesaving`),
+or None when any kernel cannot be built or loaded, and then every sketch's
+`insert_trace` loops its scalar `insert()`, the reference both paths must
+match. A sketch holds no ctypes object, so it pickles alike on both paths;
+it reads `native.NATIVE` at each call.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ _SIGNATURES = {
     "sketch_heap": {
         "sketch_heap_pass": ([_PTR, _SIZE, _PTR, _SIZE, _U64, _PTR, ctypes.c_int, _PTR,
                               _PTR, _PTR, _PTR, _PTR, _SIZE, _SIZE, _SIZE], _SIZE),
+    },
+    "spacesaving": {
+        "spacesaving_pass": ([_PTR, _SIZE, _PTR, _PTR, _PTR, _PTR, _PTR, _SIZE, _SIZE, _SIZE],
+                             _SIZE),
     },
 }
 

@@ -1,13 +1,31 @@
 """Space-Saving and the two sketch+heap top-k trackers."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhsketch import CMHeap, CountHeap, Oracle, SpaceSaving, Trace, generate_zipf
-from hhsketch.baselines import COUNTER_BYTES, HEAP_NODE_BYTES, _TopKHeap
-from conftest import random_trace, state
+from hhsketch import CMHeap, CountHeap, Oracle, SpaceSaving, Trace, generate_zipf, native
+from hhsketch.baselines import COUNTER_BYTES, HEAP_NODE_BYTES, SS_ENTRY_BYTES, _TopKHeap
+from conftest import draw_keys, feed_in_batches, random_trace, state
+
+_U32_MAX = 2**32 - 1
+
+
+def assert_one_slot_per_flow(s):
+    """Space-Saving's table holds one slot per monitored flow, its lookup
+    maps each key to that slot, and the slots are a min-heap on (count, key)."""
+    keys = s.keys[:s.size].tolist()
+    assert s.size == len(s.counts) <= s.capacity
+    assert sorted(keys) == sorted(s.counts) and len(set(keys)) == s.size
+    assert sum(1 for e in s.table if e) == s.size
+    for i, key in enumerate(keys):
+        assert s.table[s.tix[i]] == i + 1
+        assert s._probe(key) == s.tix[i]
+    ranks = [(s.slot_counts[i], keys[i]) for i in range(s.size)]
+    assert all(ranks[(i - 1) // 2] < ranks[i] for i in range(1, s.size))
 
 
 class TestSpaceSaving:
@@ -67,8 +85,7 @@ class TestSpaceSaving:
         s = SpaceSaving(12 * 50)
         s.insert_trace(generate_zipf(20_000, 400, 1.0, 5).keys)
         assert len(s.counts) == s.capacity
-        assert len(s._heap) == len(s.counts) <= s.capacity
-        assert sorted(k for _, k in s._heap) == sorted(s.counts)
+        assert_one_slot_per_flow(s)
 
     def test_matches_linear_scan_reference(self):
         # reference Space-Saving: evict min((count, key)) by a linear scan
@@ -89,7 +106,7 @@ class TestSpaceSaving:
                     counts[f], errors[f] = c0 + 1, c0
             assert s.counts == counts
             assert s.errors == errors
-            assert len(s._heap) == len(s.counts)
+            assert_one_slot_per_flow(s)
 
     def test_query_and_report(self):
         s = SpaceSaving(24)
@@ -290,6 +307,35 @@ class TestFixedWidth:
         assert a.query(9) == 2**32 - 1
         assert a.heap.items() == [(9, 2**32 - 1)]
 
+    @pytest.mark.parametrize("memory", [12, 1000, 300 * 1024])
+    def test_spacesaving_state_is_what_the_budget_charges(self, memory):
+        s = SpaceSaving(memory)
+        bufs = (s.keys, s.slot_counts, s.slot_errors)
+        assert all(b.typecode == "I" and len(b) == s.capacity for b in bufs)
+        assert sum(memoryview(b).nbytes for b in bufs) == s.capacity * SS_ENTRY_BYTES <= memory
+        # the key->slot lookup: a power-of-two table of at least 2 entries
+        # per slot, and each slot's table index
+        assert len(s.table) >= 2 * s.capacity and len(s.table) & (len(s.table) - 1) == 0
+        assert s.uncharged_bytes() == 4 * (len(s.table) + s.capacity)
+
+    def test_spacesaving_count_saturates(self, bulk_path):
+        a, b = SpaceSaving(24), SpaceSaving(24)
+        for s in (a, b):
+            feed(s, "insert", [5, 6])
+            # the slots stay a heap: (2**32 - 3, 5) above (2**32 - 2, 6)
+            s.slot_counts[0], s.slot_counts[1] = _U32_MAX - 2, _U32_MAX - 1
+        # five hits stop 5 at the maximum; 7 evicts 6 at 2**32 - 2, and 8
+        # evicts 5 at the maximum, so both evictions stop there too
+        keys = [5] * 5 + [7, 8, 8]
+        feed(a, "insert", keys)
+        feed(b, "insert_trace", keys)
+        assert state(a) == state(b)
+        assert a.counts == {7: _U32_MAX, 8: _U32_MAX}
+        assert a.errors == {7: _U32_MAX - 1, 8: _U32_MAX}
+        assert a.query(8) == _U32_MAX
+        assert a.report(1) == [(7, _U32_MAX), (8, _U32_MAX)]
+        assert_one_slot_per_flow(a)
+
     def test_count_counter_clamps_at_both_signs(self, bulk_path):
         a, b = (CountHeap(4096, heap_capacity=8, charge_heap=False) for _ in range(2))
         rows = a.rows
@@ -307,6 +353,48 @@ class TestFixedWidth:
         assert [a.counters[r, i] for r, i in hit] == [sign * (2**31 - 1) for sign in signs]
         assert a.query(f) == 2**31 - 1
         assert a.heap.items() == [(f, 2**31 - 1)]
+
+
+def test_spacesaving_native_and_fallback_state_identical(monkeypatch):
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        capacity = int(rng.integers(1, 64))
+        keys = draw_keys(rng, int(rng.integers(1, 200)), int(rng.integers(1, 2000)),
+                         bool(rng.integers(2)))
+        cuts = rng.integers(0, len(keys) + 1, size=int(rng.integers(0, 6))).tolist()
+        a, b = SpaceSaving(12 * capacity), SpaceSaving(12 * capacity)
+        feed_in_batches(a, keys, cuts)
+        with monkeypatch.context() as m:
+            m.setattr(native, "NATIVE", None)
+            feed_in_batches(b, keys, cuts)
+        assert state(a) == state(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entry=st.sampled_from(["insert", "insert_trace"]),
+    capacity=st.integers(1, 40),
+    flows=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=60, unique=True),
+    picks=st.lists(st.integers(0, 59), max_size=600),
+)
+def test_spacesaving_oracle_invariants(entry, capacity, flows, picks):
+    # Metwally et al.'s bounds, from the true counts alone: counts sum to n,
+    # count - error <= true <= count, the smallest count of a full table is
+    # at most n / k, and every flow above n / k is monitored
+    keys = [flows[i % len(flows)] for i in picks]
+    s = SpaceSaving(12 * capacity)
+    feed(s, entry, keys)
+    n, k, true = len(keys), s.capacity, Counter(keys)
+    assert sum(s.counts.values()) == n
+    for f, c in s.counts.items():
+        assert c - s.errors[f] <= true[f] <= c
+    if len(s.counts) == k:
+        assert min(s.counts.values()) * k <= n
+    assert all(f in s.counts for f, c in true.items() if c * k > n)
+
+
+def test_python_pass_spacesaving_oracle_invariants(no_native):
+    test_spacesaving_oracle_invariants()
 
 
 @settings(max_examples=150, deadline=None)
