@@ -4,10 +4,10 @@ All three expose the same surface as the Elastic variants: insert(),
 insert_trace(), query(), report(). Memory accounting is byte-budget based so
 the algorithms can be compared at equal total memory; the top-k heap's nodes
 are charged against the budget by default (configurable). All three keep
-fixed-width state. Space-Saving's insert_trace is one native pass
-(spacesaving_kernel.c), and CMHeap and CountHeap share another
-(sketch_heap_kernel.c); `native.NATIVE` switches these and the Elastic pass
-together, and without it every insert_trace loops the scalar insert().
+fixed-width state. Space-Saving's insert_trace is one native pass, and
+CMHeap and CountHeap share another; both are in kernels.c with the Elastic
+pass, `native.NATIVE` is that one library, and without it every
+insert_trace loops the scalar insert().
 """
 
 from __future__ import annotations
@@ -41,11 +41,13 @@ class _KeyTable:
     """Flow keys by slot, the first `size` of `capacity` slots in use, with
     a key->slot lookup.
 
-    The lookup is `table`, a power of two of at least 2 * capacity entries,
-    searched by linear probing from the key's Fibonacci hash; an entry holds
-    slot + 1, or 0 when empty, and a deletion shifts the rest of its cluster
-    back, so no tombstone is left. tix holds each slot's table index. The
-    budget charges the keys; the table and tix are `uncharged_bytes()`.
+    The lookup is `table`, of 1 << (32 - shift) entries, at least
+    2 * capacity, searched by linear probing from the key's Fibonacci hash;
+    an entry holds slot + 1, or 0 when empty, and a deletion shifts the rest
+    of its cluster back, so no tombstone is left. tix holds each slot's
+    table index. The budget charges the keys; the table and tix are
+    `uncharged_bytes()`. Both native passes over a table share one copy of
+    it in C (`keytab_t` in kernels.c).
     """
 
     def __init__(self, capacity: int):
@@ -138,10 +140,10 @@ class SpaceSaving(_KeyTable):
     monitored flows, with count c0 + 1 and error c0, and sifts down. Keys
     are distinct, so that order has no ties and any exact min-structure on
     it evicts the same flow. Counts saturate at 2**32 - 1. insert_trace is
-    one native pass (spacesaving_kernel.c) over the same arrays by the same
-    rules, or the insert() loop when `native.NATIVE` is None; insert() is
-    the reference both paths must match. `counts` and `errors` are
-    read-only {flow: value} views.
+    one native pass (`spacesaving_pass` in kernels.c) over the same arrays
+    by the same rules, or the insert() loop when `native.NATIVE` is None;
+    insert() is the reference both paths must match. `counts` and `errors`
+    are read-only {flow: value} views.
     """
 
     def __init__(self, memory_bytes: int):
@@ -228,11 +230,11 @@ class SpaceSaving(_KeyTable):
                 insert(f)
             return
         nbytes = 4 * self.capacity
-        self.size = native.NATIVE.spacesaving.spacesaving_pass(
+        self.size = native.NATIVE.spacesaving_pass(
             keys.ctypes.data, keys.size, pinned(self.keys, nbytes),
             pinned(self.slot_counts, nbytes), pinned(self.slot_errors, nbytes),
-            pinned(self.tix, nbytes), pinned(self.table, 4 * len(self.table)),
-            len(self.table), self.capacity, self.size)
+            pinned(self.tix, nbytes), pinned(self.table, 4 << (32 - self.shift)),
+            self.shift, self.capacity, self.size)
 
     def query(self, f: int) -> int:
         i = self.table[self._probe(check_key(f))] - 1
@@ -255,8 +257,9 @@ class _TopKHeap(_KeyTable):
 
     keys and ests hold the entries by slot, and no parent's estimate exceeds
     its children's; `_KeyTable` finds a key's slot. The native pass
-    (sketch_heap_kernel.c) writes the same arrays by the same rules, so both
-    leave the same state.
+    (`sketch_heap_pass` in kernels.c) writes the same arrays by the same
+    rules, so both leave the same state. It orders by estimate alone and
+    Space-Saving by (count, key), so each keeps its own sifts.
     """
 
     def __init__(self, capacity: int):
@@ -362,8 +365,9 @@ class _SketchHeapBase:
     (`_add`), its estimator over the rows' signed counters (`_estimate` for
     one key, `_combine` for a batch), and `_COUNT_SKETCH`, which names the
     same rule to the native pass. insert_trace is one call of that pass
-    (sketch_heap_kernel.c), or the insert() loop when `native.NATIVE` is
-    None; insert() is the reference both paths must match.
+    (`sketch_heap_pass` in kernels.c), or the insert() loop when
+    `native.NATIVE` is None; insert() is the reference both paths must
+    match.
     """
 
     _HASHES_PER_ROW = 1
@@ -409,13 +413,13 @@ class _SketchHeapBase:
             return
         heap = self.heap
         seeds = self.hash.row_seeds
-        heap.size = native.NATIVE.sketch_heap.sketch_heap_pass(
+        heap.size = native.NATIVE.sketch_heap_pass(
             keys.ctypes.data, keys.size,
             pinned(self.counters, self.rows * self.width * COUNTER_BYTES), self.rows,
             self.width, (ctypes.c_uint64 * len(seeds))(*seeds), self._COUNT_SKETCH,
             (ctypes.c_int32 * self.rows)(), pinned(heap.keys, 4 * heap.capacity),
             pinned(heap.ests, 4 * heap.capacity), pinned(heap.tix, 4 * heap.capacity),
-            pinned(heap.table, 4 * len(heap.table)), len(heap.table), heap.capacity,
+            pinned(heap.table, 4 << (32 - heap.shift)), heap.shift, heap.capacity,
             heap.size)
 
     def query(self, f: int) -> int:

@@ -12,9 +12,10 @@ every other miss there. A cell is empty exactly when its votes are 0, so every
 
 The state is fixed-width, as the memory accounting charges it: ids, votes and
 negative votes are array('I'), flags and light counters bytearrays. The bulk
-pass is one C function for both variants (elastic_kernel.c), which
-`native.py` compiles and loads; when `native.NATIVE` is None, `insert_trace`
-loops `insert()`, the reference both paths must match.
+pass is one C function for both variants (`elastic_pass` in kernels.c, the
+one native source, which `native.py` compiles and loads); when
+`native.NATIVE` is None, `insert_trace` loops `insert()`, the reference both
+paths must match.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class _ElasticBucket:
             return
         cells = self.bucket_count * self.cells_per_bucket
         tallies = (ctypes.c_uint64 * 5)()
-        native.NATIVE.elastic.elastic_pass(
+        native.NATIVE.elastic_pass(
             keys.ctypes.data, keys.size, pinned(self.ids, 4 * cells), pinned(self.votes, 4 * cells),
             pinned(self.vote_minus, 4 * self.bucket_count), self.hash.row_seeds[0],
             self.bucket_count, self.cells_per_bucket, self.lam, *self._native_rule(), tallies)

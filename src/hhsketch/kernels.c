@@ -1,0 +1,456 @@
+/* The native insert passes of all five sketches (see native.py).
+
+   Each pass feeds n keys through one sketch's buffers in place and runs
+   that sketch's scalar insert() per key:
+
+     elastic_pass       ElasticHH and ElasticStd (elastic.py)
+     sketch_heap_pass   CMHeap and CountHeap (baselines.py)
+     spacesaving_pass   SpaceSaving (baselines.py)
+
+   mix64() is core.mix64, and a hash row's index is mix64(row_seed ^ key) %
+   range, as in core.HashFamily. */
+
+#include <stddef.h>
+#include <stdint.h>
+
+static inline uint64_t mix(uint64_t x)
+{
+    x ^= x >> 33;
+    x *= 0xFF51AFD7ED558CCDull;
+    x ^= x >> 33;
+    x *= 0xC4CEB9FE1A85EC53ull;
+    x ^= x >> 33;
+    return x;
+}
+
+/* Exported for the tests; the passes call mix(), which the compiler can
+   inline (an exported function of a shared library cannot be). */
+uint64_t mix64(uint64_t x)
+{
+    return mix(x);
+}
+
+/* ---- The key->slot table of the top-k heap and of Space-Saving
+   (baselines._KeyTable).
+
+   keys holds the flows by slot.  table, of 1 << (32 - shift) entries (at
+   least 2 * capacity), maps a key to its slot by linear probing from the
+   key's Fibonacci hash, holding slot + 1, or 0 for an empty entry; tix
+   holds each slot's table index. */
+
+#define FIB 0x9E3779B1u
+
+typedef struct {
+    uint32_t *keys, *tix, *table;
+    size_t mask;
+    unsigned shift;
+} keytab_t;
+
+static keytab_t keytab(uint32_t *keys, uint32_t *tix, uint32_t *table, unsigned shift)
+{
+    keytab_t kt = {keys, tix, table, ((size_t)1 << (32 - shift)) - 1, shift};
+    return kt;
+}
+
+static inline size_t home(const keytab_t *kt, uint32_t key)
+{
+    return (uint32_t)(key * FIB) >> kt->shift;
+}
+
+/* Table index of key's entry, or of the empty entry that ends its probe. */
+static inline size_t probe(const keytab_t *kt, uint32_t key)
+{
+    size_t t = home(kt, key);
+    while (kt->table[t] && kt->keys[kt->table[t] - 1] != key)
+        t = (t + 1) & kt->mask;
+    return t;
+}
+
+/* Puts key in slot i, found through table entry t. */
+static inline void link_entry(keytab_t *kt, size_t i, uint32_t key, uint32_t t)
+{
+    kt->keys[i] = key;
+    kt->tix[i] = t;
+    kt->table[t] = (uint32_t)i + 1;
+}
+
+/* Empties table entry t by backward shift: a later entry of the cluster
+   moves into the hole unless its home lies cyclically in (hole, entry]. */
+static inline void unlink_entry(keytab_t *kt, size_t t)
+{
+    for (size_t j = (t + 1) & kt->mask; kt->table[j]; j = (j + 1) & kt->mask) {
+        uint32_t s = kt->table[j];
+        if (((j - home(kt, kt->keys[s - 1])) & kt->mask) >= ((j - t) & kt->mask)) {
+            kt->table[t] = s;
+            kt->tix[s - 1] = (uint32_t)t;
+            t = j;
+        }
+    }
+    kt->table[t] = 0;
+}
+
+/* ---- The Elastic pass, for both variants (see elastic.py).
+
+   elastic_pass() takes ids, votes and vote_minus, the sketch's array('I')
+   buffers, and flags and light, its bytearrays.  It runs the same
+   votes-first cell scan as _ElasticBucket.insert(), and three arguments
+   state the full-bucket rule:
+
+     inclusive  the newcomer wins when vm >= lam * min_v (else vm > ...),
+                compared in double precision as Python compares an int with
+                a float (vm and min_v are exact in a double)
+     reset      a winner starts at 1 vote and sets its cell's flag (else it
+                inherits min_v + 1)
+     light      the residue (an evicted flow's votes, or a losing packet) is
+                added to the 8-bit light counter its key hashes to, with
+                saturation; NULL drops it
+
+   tallies[5] receives the counts of this call: hits, empty inserts, wins
+   (replacements or evictions), losses (discards or packets sent to the
+   light part), and 1 when a light add saturated. */
+
+#define VOTE_MAX UINT32_MAX
+#define LIGHT_MAX 255u
+#define AHEAD 8 /* packets whose buckets are hashed and prefetched early */
+
+enum { HIT, EMPTY, FULL };
+
+/* Adds amount to light counter i, saturating at LIGHT_MAX; 1 if counts were lost. */
+static int light_add(uint8_t *light, uint64_t i, uint32_t amount)
+{
+    int clip = amount > LIGHT_MAX - light[i];
+    light[i] = clip ? LIGHT_MAX : light[i] + amount;
+    return clip;
+}
+
+/* The cell scan of insert(): HIT or EMPTY with *cell the cell f matched or
+   the first empty one, else FULL with *cell the first smallest cell. */
+static inline int scan(const uint32_t *id, const uint32_t *v, size_t cells, uint32_t f,
+                       size_t *cell)
+{
+    size_t min_i = 0;
+    uint64_t min_v = (uint64_t)VOTE_MAX + 1;
+    for (size_t i = 0; i < cells; i++) {
+        if (!v[i]) {
+            *cell = i;
+            return EMPTY;
+        }
+        if (id[i] == f) {
+            *cell = i;
+            return HIT;
+        }
+        /* branch-free: the first smallest cell, as in insert() */
+        int less = v[i] < min_v;
+        min_i = less ? i : min_i;
+        min_v = less ? v[i] : min_v;
+    }
+    *cell = min_i;
+    return FULL;
+}
+
+void elastic_pass(const uint32_t *keys, size_t n,
+                  uint32_t *ids, uint32_t *votes, uint32_t *vote_minus,
+                  uint64_t bucket_seed, uint64_t bucket_count, size_t cells,
+                  double lam, int inclusive, int reset, uint8_t *flags,
+                  uint8_t *light, uint64_t light_seed, uint64_t light_size,
+                  uint64_t *tallies)
+{
+    uint64_t hits = 0, empties = 0, wins = 0, losses = 0, clipped = 0;
+    uint64_t ahead[AHEAD]; /* the buckets of the next AHEAD keys */
+
+    for (size_t k = 0; k < n && k < AHEAD; k++)
+        ahead[k] = mix(bucket_seed ^ keys[k]) % bucket_count;
+    for (size_t k = 0; k < n; k++) {
+        uint32_t f = keys[k];
+        uint64_t b = ahead[k % AHEAD];
+        if (k + AHEAD < n) {
+            uint64_t next = mix(bucket_seed ^ keys[k + AHEAD]) % bucket_count;
+            ahead[k % AHEAD] = next;
+            __builtin_prefetch(ids + next * cells, 1);
+            __builtin_prefetch(votes + next * cells, 1);
+        }
+        uint32_t *id = ids + b * cells, *v = votes + b * cells;
+        size_t i;
+        int kind = scan(id, v, cells, f, &i);
+        if (kind == HIT) {
+            v[i] += v[i] < VOTE_MAX;
+            hits++;
+            continue;
+        }
+        if (kind == EMPTY) {
+            id[i] = f;
+            v[i] = 1;
+            empties++;
+            continue;
+        }
+
+        uint32_t min_v = v[i], old_id = id[i];
+        uint32_t vm = vote_minus[b];
+        vm += vm < VOTE_MAX;
+        double bar = lam * (double)min_v;
+        int win = inclusive ? (double)vm >= bar : (double)vm > bar;
+        /* the winner's and the loser's writes are selected through a mask,
+           so no branch waits on the comparison, which under the tailored
+           rule goes either way often */
+        uint32_t w = -(uint32_t)win;
+        uint32_t won_v = reset ? 1 : min_v + (min_v < VOTE_MAX);
+        id[i] = (f & w) | (old_id & ~w);
+        v[i] = (won_v & w) | (min_v & ~w);
+        vote_minus[b] = vm & ~w;
+        if (reset)
+            flags[b * cells + i] |= (uint8_t)win;
+        wins += win;
+        losses += !win;
+        if (light) {
+            /* the evicted flow's counter, or the losing packet's */
+            uint64_t li = mix(light_seed ^ (win ? old_id : f)) % light_size;
+            clipped |= light_add(light, li, win ? min_v : 1);
+        }
+    }
+    tallies[0] = hits;
+    tallies[1] = empties;
+    tallies[2] = wins;
+    tallies[3] = losses;
+    tallies[4] = clipped;
+}
+
+/* ---- The CMHeap and CountHeap pass (see baselines.py).
+
+   sketch_heap_pass() feeds the keys through a linear sketch of rows x width
+   counters and its top-k heap and returns the heap's new size.  It runs
+   _SketchHeapBase.insert() and _TopKHeap.offer() per key, and one argument
+   states the sketch:
+
+     count_sketch  0: Count-Min. counters is uint32, every step is +1 and
+                   saturates at 2**32 - 1, and the estimate is the row
+                   minimum.
+                   1: Count sketch. counters is int32, the step is the
+                   key's sign hash (+1 when the hash of row rows + r is
+                   odd), clamped at +-(2**31 - 1), and the estimate is the
+                   upper median over rows of sign * counter, floored at 0;
+                   scratch holds rows int32s.
+
+   seeds are the hash rows' seeds (rows, or 2 * rows for a Count sketch).
+   The heap is _TopKHeap's: its key table, with ests holding each slot's
+   estimate, the first size of capacity slots in use. */
+
+#define CM_MAX UINT32_MAX
+#define COUNT_MAX INT32_MAX
+
+typedef struct {
+    keytab_t kt;
+    uint32_t *ests;
+    size_t size, capacity;
+} heap_t;
+
+static inline void place(heap_t *h, size_t i, uint32_t key, uint32_t est, uint32_t t)
+{
+    h->ests[i] = est;
+    link_entry(&h->kt, i, key, t);
+}
+
+static size_t sift_up(heap_t *h, size_t i)
+{
+    uint32_t key = h->kt.keys[i], est = h->ests[i], t = h->kt.tix[i];
+    while (i > 0) {
+        size_t parent = (i - 1) >> 1;
+        if (h->ests[parent] <= est)
+            break;
+        place(h, i, h->kt.keys[parent], h->ests[parent], h->kt.tix[parent]);
+        i = parent;
+    }
+    place(h, i, key, est, t);
+    return i;
+}
+
+static size_t sift_down(heap_t *h, size_t i)
+{
+    uint32_t key = h->kt.keys[i], est = h->ests[i], t = h->kt.tix[i];
+    for (;;) {
+        size_t child = 2 * i + 1;
+        if (child >= h->size)
+            break;
+        if (child + 1 < h->size && h->ests[child + 1] < h->ests[child])
+            child++;
+        if (h->ests[child] >= est)
+            break;
+        place(h, i, h->kt.keys[child], h->ests[child], h->kt.tix[child]);
+        i = child;
+    }
+    place(h, i, key, est, t);
+    return i;
+}
+
+/* _TopKHeap.offer(): update a resident key, push while there is room, or
+   replace the minimum when est exceeds it. */
+static void offer(heap_t *h, uint32_t key, uint32_t est)
+{
+    size_t t = probe(&h->kt, key);
+    if (h->kt.table[t]) {
+        size_t i = h->kt.table[t] - 1;
+        h->ests[i] = est;
+        sift_up(h, sift_down(h, i));
+    } else if (h->size < h->capacity) {
+        place(h, h->size, key, est, (uint32_t)t);
+        sift_up(h, h->size++);
+    } else if (est > h->ests[0]) {
+        /* the unlink can open a hole on key's probe path, so probe again */
+        unlink_entry(&h->kt, h->kt.tix[0]);
+        place(h, 0, key, est, (uint32_t)probe(&h->kt, key));
+        sift_down(h, 0);
+    }
+}
+
+static inline int32_t count_add(int32_t c, int s)
+{
+    return s > 0 ? c + (c < COUNT_MAX) : c - (c > -COUNT_MAX);
+}
+
+/* sorted(v)[rows // 2], floored at 0; sorts v in place */
+static uint32_t upper_median(int32_t *v, size_t rows)
+{
+    for (size_t i = 1; i < rows; i++) {
+        int32_t x = v[i];
+        size_t j = i;
+        for (; j > 0 && v[j - 1] > x; j--)
+            v[j] = v[j - 1];
+        v[j] = x;
+    }
+    return v[rows / 2] > 0 ? (uint32_t)v[rows / 2] : 0;
+}
+
+size_t sketch_heap_pass(const uint32_t *keys, size_t n, void *counters, size_t rows,
+                        uint64_t width, const uint64_t *seeds, int count_sketch,
+                        int32_t *scratch, uint32_t *heap_keys, uint32_t *heap_ests,
+                        uint32_t *tix, uint32_t *table, unsigned shift, size_t capacity,
+                        size_t size)
+{
+    heap_t h = {keytab(heap_keys, tix, table, shift), heap_ests, size, capacity};
+
+    for (size_t k = 0; k < n; k++) {
+        uint32_t f = keys[k];
+        uint32_t est;
+        if (count_sketch) {
+            int32_t *c = counters;
+            for (size_t r = 0; r < rows; r++) {
+                int32_t *p = c + r * width + mix(seeds[r] ^ f) % width;
+                int s = mix(seeds[rows + r] ^ f) & 1 ? 1 : -1;
+                *p = count_add(*p, s);
+                scratch[r] = s * *p;
+            }
+            est = upper_median(scratch, rows);
+        } else {
+            uint32_t *c = counters;
+            est = CM_MAX;
+            for (size_t r = 0; r < rows; r++) {
+                uint32_t *p = c + r * width + mix(seeds[r] ^ f) % width;
+                *p += *p < CM_MAX;
+                est = *p < est ? *p : est;
+            }
+        }
+        offer(&h, f, est);
+    }
+    return h.size;
+}
+
+/* ---- The Space-Saving pass (see baselines.py).
+
+   spacesaving_pass() feeds the keys through a Space-Saving table and
+   returns its new size.  It runs SpaceSaving.insert() per key over the same
+   arrays: its key table, with counts and errors by slot, the first size of
+   capacity slots in use, kept as a min-heap on (count, key), compared as
+   count << 32 | key: keys are distinct, so the order has no ties.
+
+   A hit adds 1 to the flow's count and sifts it down; a new flow is pushed
+   with count 1 and error 0 while there is room; otherwise it takes the
+   root's slot with count c0 + 1 and error c0, where c0 is the root's count,
+   and sifts down.  Counts saturate at 2**32 - 1. */
+
+typedef struct {
+    keytab_t kt;
+    uint32_t *counts, *errors;
+    size_t size;
+} ss_t;
+
+/* The one saturating step, for a hit and for an eviction alike. */
+static inline uint32_t bump(uint32_t c)
+{
+    return c + (c < UINT32_MAX);
+}
+
+static inline uint64_t rank(uint32_t count, uint32_t key)
+{
+    return (uint64_t)count << 32 | key;
+}
+
+static inline void put(ss_t *s, size_t i, uint32_t key, uint32_t count, uint32_t error,
+                       uint32_t t)
+{
+    s->counts[i] = count;
+    s->errors[i] = error;
+    link_entry(&s->kt, i, key, t);
+}
+
+/* Places the entry at the hole i or above it, moving larger parents down. */
+static void ss_sift_up(ss_t *s, size_t i, uint32_t key, uint32_t count, uint32_t error,
+                       uint32_t t)
+{
+    uint64_t r = rank(count, key);
+    while (i > 0) {
+        size_t p = (i - 1) >> 1;
+        if (rank(s->counts[p], s->kt.keys[p]) < r)
+            break;
+        put(s, i, s->kt.keys[p], s->counts[p], s->errors[p], s->kt.tix[p]);
+        i = p;
+    }
+    put(s, i, key, count, error, t);
+}
+
+/* Places the entry at the hole i or below it, moving smaller children up. */
+static void ss_sift_down(ss_t *s, size_t i, uint32_t key, uint32_t count, uint32_t error,
+                         uint32_t t)
+{
+    uint64_t r = rank(count, key);
+    for (;;) {
+        size_t child = 2 * i + 1;
+        if (child >= s->size)
+            break;
+        uint64_t rc = rank(s->counts[child], s->kt.keys[child]);
+        if (child + 1 < s->size) {
+            uint64_t r2 = rank(s->counts[child + 1], s->kt.keys[child + 1]);
+            if (r2 < rc) {
+                child++;
+                rc = r2;
+            }
+        }
+        if (rc > r)
+            break;
+        put(s, i, s->kt.keys[child], s->counts[child], s->errors[child], s->kt.tix[child]);
+        i = child;
+    }
+    put(s, i, key, count, error, t);
+}
+
+size_t spacesaving_pass(const uint32_t *keys, size_t n, uint32_t *ss_keys, uint32_t *counts,
+                        uint32_t *errors, uint32_t *tix, uint32_t *table, unsigned shift,
+                        size_t capacity, size_t size)
+{
+    ss_t s = {keytab(ss_keys, tix, table, shift), counts, errors, size};
+
+    for (size_t k = 0; k < n; k++) {
+        uint32_t f = keys[k];
+        size_t t = probe(&s.kt, f);
+        if (table[t]) {
+            size_t i = table[t] - 1;
+            ss_sift_down(&s, i, f, bump(counts[i]), errors[i], (uint32_t)t);
+        } else if (s.size < capacity) {
+            ss_sift_up(&s, s.size++, f, 1, 0, (uint32_t)t);
+        } else {
+            /* the unlink can open a hole on f's probe path, so probe again */
+            uint32_t c0 = counts[0];
+            unlink_entry(&s.kt, tix[0]);
+            ss_sift_down(&s, 0, f, bump(c0), c0, (uint32_t)probe(&s.kt, f));
+        }
+    }
+    return s.size;
+}

@@ -1,9 +1,11 @@
 """Both Elastic variants: key 0 as an ordinary flow, scalar vs batched bulk
 insert over adversarial key orders on both bulk paths, and the build of the
-native kernels (`native.py`)."""
+native library (`native.py`)."""
 
+import re
 import warnings
 from array import array
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +97,7 @@ def test_python_pass_scalar_and_bulk_insert_agree(no_native):
 def test_native_mix64_is_core_mix64(seed):
     for row_seed in HashFamily(seed, rows=2).row_seeds:
         for key in (0, 1, 0xFFFFFFFF):
-            assert native.NATIVE.elastic.mix64(row_seed ^ key) == mix64(row_seed ^ key)
+            assert native.NATIVE.mix64(row_seed ^ key) == mix64(row_seed ^ key)
 
 
 @needs_native
@@ -133,15 +135,11 @@ def test_failed_build_falls_back_with_one_warning(compiler, tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == []  # no partial library left behind
 
 
-KERNELS = sorted(p.name.removesuffix("_kernel.c")
-                 for p in Path(native.__file__).parent.glob("*_kernel.c"))
-
-
 @needs_native
 def test_second_load_reuses_the_cached_build(tmp_path, monkeypatch):
     assert native.load_kernels(tmp_path) is not None
     built = sorted(tmp_path.iterdir())
-    assert [p.suffix for p in built] == [".so"] * len(KERNELS)
+    assert [p.suffix for p in built] == [".so"]
 
     def no_compiler(*args, **kwargs):
         raise AssertionError("the cached build was compiled again")
@@ -152,7 +150,7 @@ def test_second_load_reuses_the_cached_build(tmp_path, monkeypatch):
 
 @needs_native
 def test_a_new_build_removes_the_stale_ones(tmp_path, monkeypatch):
-    # one build per kernel under other flags, then under the current ones
+    # one build under other flags, then under the current ones
     with monkeypatch.context() as m:
         m.setattr(native, "_CC", (*native._CC, "-DSTALE"))
         assert native.load_kernels(tmp_path) is not None
@@ -162,5 +160,24 @@ def test_a_new_build_removes_the_stale_ones(tmp_path, monkeypatch):
     assert native.load_kernels(tmp_path) is not None
     left = sorted(p.name for p in tmp_path.glob("*.so"))
     assert left == sorted(p.name for p in current.iterdir())
-    assert [name.split("-")[0] for name in left] == KERNELS
+    assert [name.split("-")[0] for name in left] == [native._SOURCE.stem]
     assert not set(left) & {p.name for p in stale}
+
+
+@needs_native
+def test_a_new_build_removes_every_other_build(tmp_path):
+    # builds of another source, such as an older version's one library per
+    # pass, are stale too
+    for old in ("elastic-8723334735b87fd5.so", "sketch_heap-d011b160398c791c.so",
+                "spacesaving-e36e2601e7d12053.so"):
+        (tmp_path / old).write_bytes(b"")
+    assert native.load_kernels(tmp_path) is not None
+    assert [p.name.split("-")[0] for p in tmp_path.iterdir()] == [native._SOURCE.stem]
+
+
+def test_the_native_source_is_package_data():
+    # read as text: Python 3.10 has no tomllib
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    section = text.split("[tool.setuptools.package-data]")[1].split("\n[")[0]
+    patterns = re.findall(r'"([^"]+)"', section.split("hhsketch =")[1].splitlines()[0])
+    assert any(fnmatch(native._SOURCE.name, p) for p in patterns), patterns
