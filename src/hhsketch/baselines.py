@@ -5,9 +5,9 @@ insert_trace(), query(), report(). Memory accounting is byte-budget based so
 the algorithms can be compared at equal total memory; the top-k heap's nodes
 are charged against the budget by default (configurable). All three keep
 fixed-width state. Space-Saving's insert_trace is one native pass, and
-CMHeap and CountHeap share another; both are in kernels.c with the Elastic
-pass, `native.NATIVE` is that one library, and without it every
-insert_trace loops the scalar insert().
+CMHeap and CountHeap share another and two reads; all are in kernels.c with
+the Elastic pass, `native.NATIVE` is that one library, and without it every
+insert_trace loops the scalar insert() and every read is Python's.
 """
 
 from __future__ import annotations
@@ -29,6 +29,14 @@ COUNTER_BYTES = 4
 _U32_MAX = 0xFFFFFFFF   # a Count-Min or Space-Saving count's maximum, and the 32-bit mask
 _COUNT_MAX = 0x7FFFFFFF  # a Count sketch counter's bound, either sign
 _FIB = 0x9E3779B1       # the key table's Fibonacci hash multiplier
+
+
+def _ranked(keys: np.ndarray, values: np.ndarray, threshold: int) -> list[tuple[int, int]]:
+    """(key, value) pairs with value >= threshold, in (-value, key) order."""
+    keep = np.flatnonzero(values >= threshold)
+    keys, values = keys[keep], values[keep]
+    order = np.lexsort((keys, -values.astype(np.int64)))
+    return list(zip(keys[order].tolist(), values[order].tolist()))
 
 
 def _bump(c: int) -> int:
@@ -244,12 +252,8 @@ class SpaceSaving(_KeyTable):
         """Monitored (flow, count) pairs with count >= threshold, in
         (-count, key) order."""
         check_threshold(threshold)
-        keys = np.frombuffer(self.keys, np.uint32)[:self.size]
-        counts = np.frombuffer(self.slot_counts, np.uint32)[:self.size]
-        keep = np.flatnonzero(counts >= threshold)
-        keys, counts = keys[keep], counts[keep]
-        order = np.lexsort((keys, -counts.astype(np.int64)))
-        return list(zip(keys[order].tolist(), counts[order].tolist()))
+        return _ranked(np.frombuffer(self.keys, np.uint32)[:self.size],
+                       np.frombuffer(self.slot_counts, np.uint32)[:self.size], threshold)
 
 
 class _TopKHeap(_KeyTable):
@@ -360,14 +364,16 @@ class _SketchHeapBase:
     A packet adds its step to one counter per row and offers its estimate
     over the rows just written (what query() returns) to the heap. The
     counters are fixed-width, COUNTER_BYTES each as the budget charges them,
-    and saturate. A subclass states its counter dtype, its step (`_sign`
-    for one key, `_signs` for a batch), the saturating add of a step
-    (`_add`), its estimator over the rows' signed counters (`_estimate` for
-    one key, `_combine` for a batch), and `_COUNT_SKETCH`, which names the
-    same rule to the native pass. insert_trace is one call of that pass
-    (`sketch_heap_pass` in kernels.c), or the insert() loop when
-    `native.NATIVE` is None; insert() is the reference both paths must
-    match.
+    and saturate. A subclass states its counter dtype, its step (`_sign`),
+    the saturating add of a step (`_add`), its estimator over the rows'
+    signed counters (`_estimate`), and `_COUNT_SKETCH`, which names the same
+    rules to the native kernels in kernels.c: insert_trace is one call of
+    `sketch_heap_pass`, query() one call of `sketch_heap_query`, and
+    report() ranks the heap keys' estimates from one call of
+    `sketch_heap_estimates`. When `native.NATIVE` is None, insert_trace
+    loops insert(), and query() and report() read through the Python rule;
+    insert() and that query() are the references both paths must match.
+    `seeds` holds the hash rows' seeds as uint64 bytes for the kernels.
     """
 
     _HASHES_PER_ROW = 1
@@ -388,6 +394,7 @@ class _SketchHeapBase:
         self.width = width
         # hash rows 0..rows-1 index the counters; CountHeap's sign rows follow
         self.hash = HashFamily(seed, rows=self._HASHES_PER_ROW * rows)
+        self.seeds = array("Q", self.hash.row_seeds).tobytes()
         self.counters = np.zeros((rows, width), dtype=self._DTYPE)
         self.heap = _TopKHeap(heap_capacity)
 
@@ -412,37 +419,45 @@ class _SketchHeapBase:
                 self.insert(f)
             return
         heap = self.heap
-        seeds = self.hash.row_seeds
         heap.size = native.NATIVE.sketch_heap_pass(
-            keys.ctypes.data, keys.size,
-            pinned(self.counters, self.rows * self.width * COUNTER_BYTES), self.rows,
-            self.width, (ctypes.c_uint64 * len(seeds))(*seeds), self._COUNT_SKETCH,
-            (ctypes.c_int32 * self.rows)(), pinned(heap.keys, 4 * heap.capacity),
+            keys.ctypes.data, keys.size, *self._native_sketch(),
+            pinned(heap.keys, 4 * heap.capacity),
             pinned(heap.ests, 4 * heap.capacity), pinned(heap.tix, 4 * heap.capacity),
             pinned(heap.table, 4 << (32 - heap.shift)), heap.shift, heap.capacity,
             heap.size)
 
+    def _native_sketch(self) -> tuple:
+        """The counter arguments every sketch_heap kernel takes: the pinned
+        counters, their shape, the seeds (immutable bytes, so they need no
+        pin), the rule and, for a Count sketch's median, rows int32s of
+        scratch."""
+        scratch = (ctypes.c_int32 * self.rows)() if self._COUNT_SKETCH else None
+        return (pinned(self.counters, self.rows * self.width * COUNTER_BYTES), self.rows,
+                self.width, self.seeds, self._COUNT_SKETCH, scratch)
+
     def query(self, f: int) -> int:
         f = check_key(f)
+        if native.NATIVE is not None:
+            return native.NATIVE.sketch_heap_query(f, *self._native_sketch())
         return self._estimate([self._sign(r, f) *
                                self.counters.item(r, self.hash.index(r, f, self.width))
                                for r in range(self.rows)])
-
-    def _estimates(self, keys: np.ndarray) -> np.ndarray:
-        """query() of each key, with one vectorised hash pass per row."""
-        return self._combine([self._signs(r, keys) *
-                              self.counters[r, self.hash.index_array(r, keys, self.width)]
-                              for r in range(self.rows)])
 
     def report(self, threshold: int) -> list[tuple[int, int]]:
         """Heap residents with estimates refreshed from the sketch, as
         query() computes them, in (-estimate, key) order."""
         check_threshold(threshold)
-        keys = np.frombuffer(self.heap.keys, np.uint32)[:self.heap.size]
-        ests = self._estimates(keys).tolist()
-        out = [(k, est) for k, est in zip(keys.tolist(), ests) if est >= threshold]
-        out.sort(key=lambda kc: (-kc[1], kc[0]))
-        return out
+        heap = self.heap
+        if not heap.size:
+            return []
+        if native.NATIVE is None:
+            ests = np.fromiter(map(self.query, heap.keys[:heap.size]), np.int64, heap.size)
+        else:
+            ests = np.empty(heap.size, np.uint32)
+            native.NATIVE.sketch_heap_estimates(
+                pinned(heap.keys, 4 * heap.capacity), heap.size, *self._native_sketch(),
+                pinned(ests, 4 * heap.size))
+        return _ranked(np.frombuffer(heap.keys, np.uint32)[:heap.size], ests, threshold)
 
     def uncharged_bytes(self) -> int:
         """Bytes of the heap's key->slot lookup, which the budget does not charge."""
@@ -460,18 +475,12 @@ class CMHeap(_SketchHeapBase):
     def _sign(self, r: int, f: int) -> int:
         return 1
 
-    def _signs(self, r: int, keys: np.ndarray) -> int:
-        return 1
-
     @staticmethod
     def _add(c: int, s: int) -> int:
         return c + (c < _U32_MAX)
 
     def _estimate(self, ests: list[int]) -> int:
         return min(ests)
-
-    def _combine(self, ests: list[np.ndarray]) -> np.ndarray:
-        return np.min(ests, axis=0)
 
 
 class CountHeap(_SketchHeapBase):
@@ -486,11 +495,6 @@ class CountHeap(_SketchHeapBase):
     def _sign(self, r: int, f: int) -> int:
         return self.hash.sign(self.rows + r, f)
 
-    def _signs(self, r: int, keys: np.ndarray) -> np.ndarray:
-        """sign() of each key under counter row r, as int64 +1/-1."""
-        odd = self.hash.value_array(self.rows + r, keys) & np.uint64(1)
-        return 2 * odd.astype(np.int64) - 1
-
     @staticmethod
     def _add(c: int, s: int) -> int:
         v = c + s
@@ -498,6 +502,3 @@ class CountHeap(_SketchHeapBase):
 
     def _estimate(self, ests: list[int]) -> int:
         return max(sorted(ests)[len(ests) // 2], 0)
-
-    def _combine(self, ests: list[np.ndarray]) -> np.ndarray:
-        return np.maximum(np.sort(ests, axis=0)[self.rows // 2], 0)

@@ -26,7 +26,7 @@ from array import array
 import numpy as np
 
 from . import native
-from .core import HashFamily, check_key, check_threshold, key_array
+from .core import HashFamily, check_key, check_threshold, key_array, mix64
 from .native import pinned
 
 _VOTE_MAX = 0xFFFFFFFF
@@ -56,11 +56,11 @@ class _ElasticBucket:
     first empty cell ends a scan. `insert()` (the reference) and the native
     `insert_trace()` run the same scan; a vote count saturates at 2**32 - 1.
     A variant sizes the buckets, gives every cell's estimate in
-    `_estimates()`, answers `query()` and states its full-bucket rule twice:
-    `_full(b, f, min_i, min_v, vm)` for `insert()` (packet f found bucket b
-    full, min_i is its first smallest cell, holding min_v votes, and vm is
-    the negative votes with this miss; it writes the bucket and its own
-    tallies), and `_native_rule()` and `_tally()` for the kernel.
+    `_cell_estimates()`, answers `query()` and states its full-bucket rule
+    twice: `_full(b, f, min_i, min_v, vm)` for `insert()` (packet f found
+    bucket b full, min_i is its first smallest cell, holding min_v votes,
+    and vm is the negative votes with this miss; it writes the bucket and
+    its own tallies), and `_native_rule()` and `_tally()` for the kernel.
     """
 
     def __init__(self, memory_bytes: int, lam: float, cells_per_bucket: int,
@@ -79,7 +79,8 @@ class _ElasticBucket:
         self.empty_inserts = 0
 
     def bucket_of(self, f: int) -> int:
-        return self.hash.index(0, f, self.bucket_count)
+        # hash.index(0, f, bucket_count), without its checks: f is a checked key
+        return mix64(self.hash.row_seeds[0] ^ f) % self.bucket_count
 
     def insert(self, f: int) -> str:
         """Insert one packet; returns "hit", "empty_insert" or `_full`'s outcome."""
@@ -145,7 +146,7 @@ class _ElasticBucket:
         in bucket order, then cell order."""
         check_threshold(threshold)
         # an empty cell's estimate is 0, below every threshold
-        ests = self._estimates()
+        ests = self._cell_estimates()
         keep = np.flatnonzero(ests >= threshold)
         return list(zip(np.frombuffer(self.ids, np.uint32)[keep].tolist(),
                         ests[keep].tolist()))
@@ -190,7 +191,7 @@ class ElasticHH(_ElasticBucket):
         i = self._cell(check_key(f))
         return self.votes[i] if i >= 0 else 0
 
-    def _estimates(self) -> np.ndarray:
+    def _cell_estimates(self) -> np.ndarray:
         return np.frombuffer(self.votes, np.uint32)
 
 
@@ -224,7 +225,8 @@ class ElasticStd(_ElasticBucket):
         self.evictions = 0
 
     def light_index(self, f: int) -> int:
-        return self.hash.index(1, f, self.light_size)
+        # hash.index(1, f, light_size), without its checks: f is a checked key
+        return mix64(self.hash.row_seeds[1] ^ f) % self.light_size
 
     def _full(self, b: int, f: int, min_i: int, min_v: int, vm: int) -> str:
         ids = self.ids
@@ -272,7 +274,7 @@ class ElasticStd(_ElasticBucket):
         light = self.light[self.light_index(f)]
         return light + self.votes[i] if i >= 0 else light
 
-    def _estimates(self) -> np.ndarray:
+    def _cell_estimates(self) -> np.ndarray:
         """query() of every cell's flow, with one vectorised light-hash pass."""
         ests = np.frombuffer(self.votes, np.uint32).astype(np.int64)
         flagged = np.flatnonzero(np.frombuffer(self.flags, np.uint8))

@@ -1,11 +1,16 @@
-/* The native insert passes of all five sketches (see native.py).
+/* The native passes of all five sketches (see native.py).
 
-   Each pass feeds n keys through one sketch's buffers in place and runs
-   that sketch's scalar insert() per key:
+   Each insert pass feeds n keys through one sketch's buffers in place and
+   runs that sketch's scalar insert() per key:
 
-     elastic_pass       ElasticHH and ElasticStd (elastic.py)
-     sketch_heap_pass   CMHeap and CountHeap (baselines.py)
-     spacesaving_pass   SpaceSaving (baselines.py)
+     elastic_pass           ElasticHH and ElasticStd (elastic.py)
+     sketch_heap_pass       CMHeap and CountHeap (baselines.py)
+     spacesaving_pass       SpaceSaving (baselines.py)
+
+   and two reads of CMHeap and CountHeap share one estimate rule with them:
+
+     sketch_heap_query      query() of one key
+     sketch_heap_estimates  query() of each of n keys, for report()
 
    mix64() is core.mix64, and a hash row's index is mix64(row_seed ^ key) %
    range, as in core.HashFamily. */
@@ -214,7 +219,7 @@ void elastic_pass(const uint32_t *keys, size_t n,
     tallies[4] = clipped;
 }
 
-/* ---- The CMHeap and CountHeap pass (see baselines.py).
+/* ---- The CMHeap and CountHeap pass and reads (see baselines.py).
 
    sketch_heap_pass() feeds the keys through a linear sketch of rows x width
    counters and its top-k heap and returns the heap's new size.  It runs
@@ -232,7 +237,10 @@ void elastic_pass(const uint32_t *keys, size_t n,
 
    seeds are the hash rows' seeds (rows, or 2 * rows for a Count sketch).
    The heap is _TopKHeap's: its key table, with ests holding each slot's
-   estimate, the first size of capacity slots in use. */
+   estimate, the first size of capacity slots in use.
+
+   sketch_heap_query() and sketch_heap_estimates() read the same counters
+   by the same rule without writing them, as _SketchHeapBase.query() does. */
 
 #define CM_MAX UINT32_MAX
 #define COUNT_MAX INT32_MAX
@@ -301,13 +309,24 @@ static void offer(heap_t *h, uint32_t key, uint32_t est)
     }
 }
 
+/* Offset of key f's counter in row r of rows x width counters. */
+static inline uint64_t cell(const uint64_t *seeds, size_t r, uint32_t f, uint64_t width)
+{
+    return r * width + mix(seeds[r] ^ f) % width;
+}
+
+/* Key f's Count sketch step in row r: +1 when the hash of row rows + r is
+   odd.  A macro: as an inline function it moves gcc -O2's branch layout in
+   sketch_heap_pass. */
+#define SIGN(seeds, rows, r, f) (mix((seeds)[(rows) + (r)] ^ (f)) & 1 ? 1 : -1)
+
 static inline int32_t count_add(int32_t c, int s)
 {
     return s > 0 ? c + (c < COUNT_MAX) : c - (c > -COUNT_MAX);
 }
 
 /* sorted(v)[rows // 2], floored at 0; sorts v in place */
-static uint32_t upper_median(int32_t *v, size_t rows)
+static inline uint32_t upper_median(int32_t *v, size_t rows)
 {
     for (size_t i = 1; i < rows; i++) {
         int32_t x = v[i];
@@ -333,8 +352,8 @@ size_t sketch_heap_pass(const uint32_t *keys, size_t n, void *counters, size_t r
         if (count_sketch) {
             int32_t *c = counters;
             for (size_t r = 0; r < rows; r++) {
-                int32_t *p = c + r * width + mix(seeds[r] ^ f) % width;
-                int s = mix(seeds[rows + r] ^ f) & 1 ? 1 : -1;
+                int32_t *p = c + cell(seeds, r, f, width);
+                int s = SIGN(seeds, rows, r, f);
                 *p = count_add(*p, s);
                 scratch[r] = s * *p;
             }
@@ -343,7 +362,7 @@ size_t sketch_heap_pass(const uint32_t *keys, size_t n, void *counters, size_t r
             uint32_t *c = counters;
             est = CM_MAX;
             for (size_t r = 0; r < rows; r++) {
-                uint32_t *p = c + r * width + mix(seeds[r] ^ f) % width;
+                uint32_t *p = c + cell(seeds, r, f, width);
                 *p += *p < CM_MAX;
                 est = *p < est ? *p : est;
             }
@@ -351,6 +370,41 @@ size_t sketch_heap_pass(const uint32_t *keys, size_t n, void *counters, size_t r
         offer(&h, f, est);
     }
     return h.size;
+}
+
+/* The estimate of key f, read as the pass computes it after its writes:
+   the row minimum, or the upper median of sign * counter floored at 0,
+   with scratch holding rows int32s. */
+static inline uint32_t estimate(uint32_t f, const void *counters, size_t rows, uint64_t width,
+                                const uint64_t *seeds, int count_sketch, int32_t *scratch)
+{
+    if (count_sketch) {
+        const int32_t *c = counters;
+        for (size_t r = 0; r < rows; r++)
+            scratch[r] = SIGN(seeds, rows, r, f) * c[cell(seeds, r, f, width)];
+        return upper_median(scratch, rows);
+    }
+    const uint32_t *c = counters;
+    uint32_t est = CM_MAX;
+    for (size_t r = 0; r < rows; r++) {
+        uint32_t v = c[cell(seeds, r, f, width)];
+        est = v < est ? v : est;
+    }
+    return est;
+}
+
+uint32_t sketch_heap_query(uint32_t key, const void *counters, size_t rows, uint64_t width,
+                           const uint64_t *seeds, int count_sketch, int32_t *scratch)
+{
+    return estimate(key, counters, rows, width, seeds, count_sketch, scratch);
+}
+
+void sketch_heap_estimates(const uint32_t *keys, size_t n, const void *counters, size_t rows,
+                           uint64_t width, const uint64_t *seeds, int count_sketch,
+                           int32_t *scratch, uint32_t *out)
+{
+    for (size_t k = 0; k < n; k++)
+        out[k] = estimate(keys[k], counters, rows, width, seeds, count_sketch, scratch);
 }
 
 /* ---- The Space-Saving pass (see baselines.py).

@@ -1,12 +1,14 @@
-"""The native insert passes: one C source, `kernels.c`, beside this file.
+"""The native insert passes and reads: one C source, `kernels.c`, beside this file.
 
 The source is compiled on first import into `_native/` beside this file and
 loaded with ctypes. `NATIVE` is the one switch for all five sketches: the
 one library, holding `elastic_pass` for both Elastic variants,
-`sketch_heap_pass` for CMHeap and CountHeap and `spacesaving_pass`, or None
-when it cannot be built or loaded, and then every sketch's `insert_trace`
-loops its scalar `insert()`, the reference both paths must match. A sketch
-holds no ctypes object, so it pickles alike on both paths; it reads
+`sketch_heap_pass` for CMHeap and CountHeap and `spacesaving_pass`, and the
+CMHeap and CountHeap reads `sketch_heap_query` and `sketch_heap_estimates`,
+or None when it cannot be built or loaded. Then every sketch's
+`insert_trace` loops its scalar `insert()`, and CMHeap and CountHeap read
+through their Python `query()`: the references both paths must match. A
+sketch holds no ctypes object, so it pickles alike on both paths; it reads
 `native.NATIVE` at each call.
 """
 
@@ -35,6 +37,10 @@ _SIGNATURES = {
                           _PTR, _PTR, _PTR, ctypes.c_uint, _SIZE, _SIZE], _SIZE),
     "spacesaving_pass": ([_PTR, _SIZE, _PTR, _PTR, _PTR, _PTR, _PTR, ctypes.c_uint, _SIZE,
                           _SIZE], _SIZE),
+    "sketch_heap_query": ([ctypes.c_uint32, _PTR, _SIZE, _U64, _PTR, ctypes.c_int, _PTR],
+                          ctypes.c_uint32),
+    "sketch_heap_estimates": ([_PTR, _SIZE, _PTR, _SIZE, _U64, _PTR, ctypes.c_int, _PTR,
+                               _PTR], None),
 }
 
 
@@ -67,8 +73,9 @@ def load_kernels(cache: Path = _CACHE) -> ctypes.CDLL | None:
         lib = ctypes.CDLL(str(_build(cache)))
     except (OSError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", None) or b""
-        warnings.warn(f"native insert passes unavailable, every insert_trace loops "
-                      f"insert(): {exc} {detail.decode(errors='replace')}".rstrip(),
+        warnings.warn(f"native kernels unavailable, every insert_trace loops insert() "
+                      f"and every read runs in Python: {exc} "
+                      f"{detail.decode(errors='replace')}".rstrip(),
                       RuntimeWarning, stacklevel=2)
         return None
     for fn, (argtypes, restype) in _SIGNATURES.items():
@@ -86,7 +93,7 @@ def pinned(buf, nbytes: int):
     exactly nbytes. The call runs without the GIL; while the argument lives
     it holds an export of the buffer, so a resize from another thread raises
     BufferError instead of freeing memory the kernel writes."""
-    if memoryview(buf).nbytes != nbytes:
-        raise ValueError(f"a sketch buffer holds {memoryview(buf).nbytes} bytes, "
-                         f"expected {nbytes}")
-    return ctypes.byref(ctypes.c_char.from_buffer(buf))
+    view = memoryview(buf)
+    if view.nbytes != nbytes:
+        raise ValueError(f"a sketch buffer holds {view.nbytes} bytes, expected {nbytes}")
+    return ctypes.byref(ctypes.c_char.from_buffer(view))

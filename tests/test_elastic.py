@@ -100,6 +100,18 @@ def test_native_mix64_is_core_mix64(seed):
             assert native.NATIVE.mix64(row_seed ^ key) == mix64(row_seed ^ key)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_bucket_and_light_index_are_the_hash_rows(seed):
+    # bucket_of and light_index hash straight from the row seeds, without
+    # HashFamily.index's checks, and must pick what it picks
+    keys = [0, 0xFFFFFFFF, *np.random.default_rng(seed % 97).integers(0, 2**32, 300).tolist()]
+    hh, std = ElasticHH(1000, seed=seed), ElasticStd(1000, seed=seed)
+    for f in keys:
+        assert hh.bucket_of(f) == hh.hash.index(0, f, hh.bucket_count)
+        assert std.bucket_of(f) == std.hash.index(0, f, std.bucket_count)
+        assert std.light_index(f) == std.hash.index(1, f, std.light_size)
+
+
 @needs_native
 @pytest.mark.parametrize("cls, buffer", [
     *((ElasticHH, b) for b in ("ids", "votes", "vote_minus")),
