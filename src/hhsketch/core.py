@@ -102,7 +102,8 @@ def check_key(f) -> int:
 
 def check_threshold(t) -> None:
     """ValueError unless t is an integer report threshold of at least 1."""
-    if not (isinstance(t, (int, np.integer)) and t >= 1):
+    # a bool is no threshold, as it is no flow key
+    if type(t) is bool or not (isinstance(t, (int, np.integer)) and t >= 1):
         raise ValueError(f"threshold must be an integer >= 1; got {t!r}")
 
 

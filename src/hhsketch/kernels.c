@@ -98,8 +98,9 @@ static inline void unlink_entry(keytab_t *kt, size_t t)
 
    elastic_pass() takes ids, votes and vote_minus, the sketch's array('I')
    buffers, and flags and light, its bytearrays.  It runs the same
-   votes-first cell scan as _ElasticBucket.insert(), and three arguments
-   state the full-bucket rule:
+   votes-first cell scan as _ElasticBucket.insert(), and the full-bucket
+   rule of _ElasticBucket._full, from the same three class constants
+   (INCLUSIVE, RESET and light) as three arguments:
 
      inclusive  the newcomer wins when vm >= lam * min_v (else vm > ...),
                 compared in double precision as Python compares an int with

@@ -118,7 +118,7 @@ def test_bad_key_rejected_and_state_unchanged(algo, entry, bad):
 
 
 @pytest.mark.parametrize("algo", ALGOS)
-@pytest.mark.parametrize("bad", [0, -1, 2.5, 2.0, float("nan"), "2", None])
+@pytest.mark.parametrize("bad", [0, -1, 2.5, 2.0, float("nan"), "2", None, True])
 def test_bad_threshold_rejected_and_state_unchanged(algo, bad):
     s = small_sketch(algo)
     before = state(s)
