@@ -358,7 +358,7 @@ class _TopKHeap(_KeyTable):
         return i
 
 
-class _SketchHeapBase:
+class _SketchHeapBase(native.ViewCache):
     """A linear sketch of `rows` counter rows with a min-heap of the top-k flows.
 
     A packet adds its step to one counter per row and offers its estimate
@@ -370,7 +370,8 @@ class _SketchHeapBase:
     rules to the native kernels in kernels.c: insert_trace is one call of
     `sketch_heap_pass`, query() one call of `sketch_heap_query`, and
     report() ranks the heap keys' estimates from one call of
-    `sketch_heap_estimates`. When `native.NATIVE` is None, insert_trace
+    `sketch_heap_estimates`; both reads go through the sketch's view
+    (`native.view`). When `native.NATIVE` is None, insert_trace
     loops insert(), and query() and report() read through the Python rule;
     insert() and that query() are the references both paths must match.
     `seeds` holds the hash rows' seeds as uint64 bytes for the kernels.
@@ -419,26 +420,34 @@ class _SketchHeapBase:
                 self.insert(f)
             return
         heap = self.heap
+        # a Count sketch's median takes rows int32s of scratch; the seeds
+        # are immutable bytes, so they need no pin
+        scratch = (ctypes.c_int32 * self.rows)() if self._COUNT_SKETCH else None
         heap.size = native.NATIVE.sketch_heap_pass(
-            keys.ctypes.data, keys.size, *self._native_sketch(),
+            keys.ctypes.data, keys.size, pinned(self.counters, self._counter_bytes()),
+            self.rows, self.width, self.seeds, self._COUNT_SKETCH, scratch,
             pinned(heap.keys, 4 * heap.capacity),
             pinned(heap.ests, 4 * heap.capacity), pinned(heap.tix, 4 * heap.capacity),
             pinned(heap.table, 4 << (32 - heap.shift)), heap.shift, heap.capacity,
             heap.size)
 
-    def _native_sketch(self) -> tuple:
-        """The counter arguments every sketch_heap kernel takes: the pinned
-        counters, their shape, the seeds (immutable bytes, so they need no
-        pin), the rule and, for a Count sketch's median, rows int32s of
-        scratch."""
-        scratch = (ctypes.c_int32 * self.rows)() if self._COUNT_SKETCH else None
-        return (pinned(self.counters, self.rows * self.width * COUNTER_BYTES), self.rows,
-                self.width, self.seeds, self._COUNT_SKETCH, scratch)
+    def _counter_bytes(self) -> int:
+        return self.rows * self.width * COUNTER_BYTES
+
+    def _new_view(self) -> native.SketchView:
+        """The read view of the pass's counter arguments, cached in `_view`:
+        from here on the counters cannot be resized."""
+        buffers = {"counters": (self.counters, self._counter_bytes()),
+                   "seeds": (array("Q", self.hash.row_seeds), len(self.seeds)),
+                   "scratch": (array("i", [0]) * self.rows, 4 * self.rows)}
+        self._view = native.view(native.SketchView, buffers, rows=self.rows, width=self.width,
+                                 count_sketch=self._COUNT_SKETCH)
+        return self._view
 
     def query(self, f: int) -> int:
         f = check_key(f)
         if native.NATIVE is not None:
-            return native.NATIVE.sketch_heap_query(f, *self._native_sketch())
+            return native.NATIVE.sketch_heap_query(self._view or self._new_view(), f)
         return self._estimate([self._sign(r, f) *
                                self.counters.item(r, self.hash.index(r, f, self.width))
                                for r in range(self.rows)])
@@ -448,14 +457,12 @@ class _SketchHeapBase:
         query() computes them, in (-estimate, key) order."""
         check_threshold(threshold)
         heap = self.heap
-        if not heap.size:
-            return []
         if native.NATIVE is None:
             ests = np.fromiter(map(self.query, heap.keys[:heap.size]), np.int64, heap.size)
         else:
             ests = np.empty(heap.size, np.uint32)
             native.NATIVE.sketch_heap_estimates(
-                pinned(heap.keys, 4 * heap.capacity), heap.size, *self._native_sketch(),
+                pinned(heap.keys, 4 * heap.capacity), heap.size, self._view or self._new_view(),
                 pinned(ests, 4 * heap.size))
         return _ranked(np.frombuffer(heap.keys, np.uint32)[:heap.size], ests, threshold)
 

@@ -7,10 +7,17 @@
      sketch_heap_pass       CMHeap and CountHeap (baselines.py)
      spacesaving_pass       SpaceSaving (baselines.py)
 
-   and two reads of CMHeap and CountHeap share one estimate rule with them:
+   and three reads run the same rules over a view, a struct of pointers to
+   one sketch's buffers and its scalar parameters that native.py builds
+   once per sketch:
 
-     sketch_heap_query      query() of one key
+     elastic_query          query() of one key, over an elastic_view_t
+     sketch_heap_query      query() of one key, over a sketch_view_t
      sketch_heap_estimates  query() of each of n keys, for report()
+
+   native.py calls the passes without the GIL and the reads holding it: a
+   read takes about 100 ns, and the GIL keeps a view's scratch to one
+   reader at a time.
 
    mix64() is core.mix64, and a hash row's index is mix64(row_seed ^ key) %
    range, as in core.HashFamily. */
@@ -220,6 +227,30 @@ void elastic_pass(const uint32_t *keys, size_t n,
     tallies[4] = clipped;
 }
 
+/* An Elastic sketch's view: flags is NULL without RESET, and light NULL
+   without a light part. */
+typedef struct {
+    const uint32_t *ids, *votes;
+    const uint8_t *flags, *light;
+    uint64_t bucket_seed, bucket_count;
+    size_t cells;
+    uint64_t light_seed, light_size;
+} elastic_view_t;
+
+/* _ElasticBucket.query(): the votes of f's cell, found by insert()'s scan,
+   plus f's light counter when f is not resident or its cell is flagged.
+   A flow can hold 2**32 - 1 votes and 255 light counts, hence 64 bits. */
+uint64_t elastic_query(const elastic_view_t *ev, uint32_t f)
+{
+    uint64_t base = mix(ev->bucket_seed ^ f) % ev->bucket_count * ev->cells;
+    size_t i;
+    int hit = scan(ev->ids + base, ev->votes + base, ev->cells, f, &i) == HIT;
+    uint64_t est = hit ? ev->votes[base + i] : 0;
+    if (ev->light && (!hit || (ev->flags && ev->flags[base + i])))
+        est += ev->light[mix(ev->light_seed ^ f) % ev->light_size];
+    return est;
+}
+
 /* ---- The CMHeap and CountHeap pass and reads (see baselines.py).
 
    sketch_heap_pass() feeds the keys through a linear sketch of rows x width
@@ -241,7 +272,8 @@ void elastic_pass(const uint32_t *keys, size_t n,
    estimate, the first size of capacity slots in use.
 
    sketch_heap_query() and sketch_heap_estimates() read the same counters
-   by the same rule without writing them, as _SketchHeapBase.query() does. */
+   by the same rule without writing them, as _SketchHeapBase.query() does,
+   through a sketch_view_t of the same arguments. */
 
 #define CM_MAX UINT32_MAX
 #define COUNT_MAX INT32_MAX
@@ -394,18 +426,27 @@ static inline uint32_t estimate(uint32_t f, const void *counters, size_t rows, u
     return est;
 }
 
-uint32_t sketch_heap_query(uint32_t key, const void *counters, size_t rows, uint64_t width,
-                           const uint64_t *seeds, int count_sketch, int32_t *scratch)
+/* A CMHeap's or CountHeap's view: the arguments of estimate(). */
+typedef struct {
+    const void *counters;
+    size_t rows;
+    uint64_t width;
+    const uint64_t *seeds;
+    int count_sketch;
+    int32_t *scratch;
+} sketch_view_t;
+
+uint32_t sketch_heap_query(const sketch_view_t *sv, uint32_t key)
 {
-    return estimate(key, counters, rows, width, seeds, count_sketch, scratch);
+    return estimate(key, sv->counters, sv->rows, sv->width, sv->seeds, sv->count_sketch,
+                    sv->scratch);
 }
 
-void sketch_heap_estimates(const uint32_t *keys, size_t n, const void *counters, size_t rows,
-                           uint64_t width, const uint64_t *seeds, int count_sketch,
-                           int32_t *scratch, uint32_t *out)
+void sketch_heap_estimates(const uint32_t *keys, size_t n, const sketch_view_t *sv,
+                           uint32_t *out)
 {
     for (size_t k = 0; k < n; k++)
-        out[k] = estimate(keys[k], counters, rows, width, seeds, count_sketch, scratch);
+        out[k] = sketch_heap_query(sv, keys[k]);
 }
 
 /* ---- The Space-Saving pass (see baselines.py).

@@ -4,12 +4,18 @@ The source is compiled on first import into `_native/` beside this file and
 loaded with ctypes. `NATIVE` is the one switch for all five sketches: the
 one library, holding `elastic_pass` for both Elastic variants,
 `sketch_heap_pass` for CMHeap and CountHeap and `spacesaving_pass`, and the
-CMHeap and CountHeap reads `sketch_heap_query` and `sketch_heap_estimates`,
-or None when it cannot be built or loaded. Then every sketch's
-`insert_trace` loops its scalar `insert()`, and CMHeap and CountHeap read
-through their Python `query()`: the references both paths must match. A
-sketch holds no ctypes object, so it pickles alike on both paths; it reads
-`native.NATIVE` at each call.
+reads `elastic_query`, `sketch_heap_query` and `sketch_heap_estimates`, or
+None when it cannot be built or loaded. Then every sketch's `insert_trace`
+loops its scalar `insert()`, and every read is the Python rule: the
+references both paths must match.
+
+A pass pins the buffers it writes for one call and runs without the GIL. A
+read goes through a view (`view`): one `ElasticView` or `SketchView` struct
+over the sketch's buffers, built on the sketch's first native read and
+pinning them for the sketch's life. A read export holds the GIL for its
+call of about 100 ns, which makes a view's one Count-sketch scratch safe
+across threads. A sketch holds one cached view, dropped on pickle, so it
+pickles alike on both paths; it reads `native.NATIVE` at each call.
 """
 
 from __future__ import annotations
@@ -28,7 +34,22 @@ _PTR = ctypes.c_void_p
 _U64 = ctypes.c_uint64
 _SIZE = ctypes.c_size_t
 
-# function -> (argtypes, restype)
+
+class ElasticView(ctypes.Structure):
+    """An Elastic sketch's read view, kernels.c's elastic_view_t: flags and
+    light are NULL when the sketch has none."""
+    _fields_ = [("ids", _PTR), ("votes", _PTR), ("flags", _PTR), ("light", _PTR),
+                ("bucket_seed", _U64), ("bucket_count", _U64), ("cells", _SIZE),
+                ("light_seed", _U64), ("light_size", _U64)]
+
+
+class SketchView(ctypes.Structure):
+    """A CMHeap's or CountHeap's read view, kernels.c's sketch_view_t."""
+    _fields_ = [("counters", _PTR), ("rows", _SIZE), ("width", _U64), ("seeds", _PTR),
+                ("count_sketch", ctypes.c_int), ("scratch", _PTR)]
+
+
+# function -> (argtypes, restype); the passes release the GIL
 _SIGNATURES = {
     "mix64": ([_U64], _U64),
     "elastic_pass": ([_PTR, _SIZE, _PTR, _PTR, _PTR, _U64, _U64, _SIZE, ctypes.c_double,
@@ -37,10 +58,12 @@ _SIGNATURES = {
                           _PTR, _PTR, _PTR, ctypes.c_uint, _SIZE, _SIZE], _SIZE),
     "spacesaving_pass": ([_PTR, _SIZE, _PTR, _PTR, _PTR, _PTR, _PTR, ctypes.c_uint, _SIZE,
                           _SIZE], _SIZE),
-    "sketch_heap_query": ([ctypes.c_uint32, _PTR, _SIZE, _U64, _PTR, ctypes.c_int, _PTR],
-                          ctypes.c_uint32),
-    "sketch_heap_estimates": ([_PTR, _SIZE, _PTR, _SIZE, _U64, _PTR, ctypes.c_int, _PTR,
-                               _PTR], None),
+}
+# the reads, bound to hold the GIL
+_READS = {
+    "elastic_query": ([ctypes.POINTER(ElasticView), ctypes.c_uint32], _U64),
+    "sketch_heap_query": ([ctypes.POINTER(SketchView), ctypes.c_uint32], ctypes.c_uint32),
+    "sketch_heap_estimates": ([_PTR, _SIZE, ctypes.POINTER(SketchView), _PTR], None),
 }
 
 
@@ -81,19 +104,53 @@ def load_kernels(cache: Path = _CACHE) -> ctypes.CDLL | None:
     for fn, (argtypes, restype) in _SIGNATURES.items():
         getattr(lib, fn).argtypes = argtypes
         getattr(lib, fn).restype = restype
+    for fn, (argtypes, restype) in _READS.items():
+        setattr(lib, fn, ctypes.PYFUNCTYPE(restype, *argtypes)((fn, lib)))
     return lib
 
 
 NATIVE = load_kernels()
 
 
+class ViewCache:
+    """Mixin of a sketch with a native read view: `_new_view()` builds it on
+    the first native read and caches it in `_view`, which pickling drops,
+    so a sketch pickles alike before and after a read."""
+
+    _view = None
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_view"}
+
+
+def _export(buf, nbytes: int) -> ctypes.c_char | None:
+    """A c_char at the start of buf, holding an export of it, after checking
+    that it holds exactly nbytes; None (a NULL pointer) for 0 bytes."""
+    mem = memoryview(buf)
+    if mem.nbytes != nbytes:
+        raise ValueError(f"a sketch buffer holds {mem.nbytes} bytes, expected {nbytes}")
+    return ctypes.c_char.from_buffer(mem) if nbytes else None
+
+
 def pinned(buf, nbytes: int):
     """Pointer argument for a writable buffer (an array('I'), a bytearray or a
     numpy array) that a kernel writes in place, after checking that it holds
-    exactly nbytes. The call runs without the GIL; while the argument lives
-    it holds an export of the buffer, so a resize from another thread raises
-    BufferError instead of freeing memory the kernel writes."""
-    view = memoryview(buf)
-    if view.nbytes != nbytes:
-        raise ValueError(f"a sketch buffer holds {view.nbytes} bytes, expected {nbytes}")
-    return ctypes.byref(ctypes.c_char.from_buffer(view))
+    exactly nbytes; None, a NULL pointer, when it is empty. A pass runs
+    without the GIL; while the argument lives it holds an export of the
+    buffer, so a resize from another thread raises BufferError instead of
+    freeing memory the kernel writes."""
+    export = _export(buf, nbytes)
+    return None if export is None else ctypes.byref(export)
+
+
+def view(struct: type[ctypes.Structure], buffers: dict, **scalars) -> ctypes.Structure:
+    """One `struct` of the scalar fields and, for each field -> (buffer,
+    nbytes) of `buffers`, a pointer to that buffer, checked as `pinned`
+    checks it. The view holds the buffers' exports for its life, so a resize
+    raises BufferError (numpy: ValueError) instead of moving memory it
+    points at."""
+    exports = {field: _export(buf, nbytes) for field, (buf, nbytes) in buffers.items()}
+    pointers = {field: None if e is None else ctypes.addressof(e) for field, e in exports.items()}
+    v = struct(**scalars, **pointers)
+    v._exports = exports
+    return v

@@ -155,6 +155,15 @@ def test_pinned_buffer_cannot_be_resized_during_the_call():
     buf.append(0)
 
 
+@pytest.mark.parametrize("empty", [np.empty(0, np.uint32), bytearray(), array("I")],
+                         ids=["numpy", "bytearray", "array"])
+def test_an_empty_buffer_pins_as_a_null_pointer(empty):
+    # so a kernel call over a possibly empty buffer needs no guard of its own
+    assert native.pinned(empty, 0) is None
+    with pytest.raises(ValueError, match="sketch buffer"):
+        native.pinned(empty, 4)
+
+
 @pytest.mark.parametrize("compiler", [("false",), ("no-such-compiler",)])
 def test_failed_build_falls_back_with_one_warning(compiler, tmp_path, monkeypatch):
     monkeypatch.setattr(native, "_CC", compiler)

@@ -1,6 +1,12 @@
 """Differential tests for the read path: every sketch's report() against a
-reference built from its scalar query(), on both paths, and the native
-CMHeap and CountHeap reads against their Python rule."""
+reference built from its scalar query(), on both paths, the native Elastic,
+CMHeap and CountHeap reads against their Python rule, and the life of the
+read view those reads go through."""
+
+import ctypes
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhsketch import CMHeap, CountHeap, ElasticHH, ElasticStd, SpaceSaving, native
-from conftest import random_trace
+from hhsketch.elastic import bucket_footprint
+from conftest import random_trace, state
 
 needs_native = pytest.mark.skipif(native.NATIVE is None,
                                   reason="the native kernels are not built")
@@ -152,3 +159,145 @@ def test_elastic_std_flagged_cells():
     assert any(sketch.light)
     for t in thresholds(sketch):
         assert sketch.report(t) == reference_report(sketch, t)
+
+
+@needs_native
+@settings(max_examples=200, deadline=None)
+@given(
+    cls=st.sampled_from([ElasticHH, ElasticStd]),
+    width=st.integers(1, 8),
+    buckets=st.integers(1, 3),
+    lam=st.sampled_from([0.0, 0.5, 1.0, 8.0]),
+    flows=st.lists(st.integers(0, _U32_MAX), min_size=1, max_size=16, unique=True),
+    picks=st.lists(st.integers(0, 17), max_size=100),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_native_and_python_elastic_reads_agree(cls, width, buckets, lam, flows, picks, seed,
+                                               data):
+    # keys 0 and 2**32 - 1 are resident when picked and absent otherwise;
+    # the occupied cells are then pre-filled at 1 and 2**32 - 1 votes, and
+    # ElasticStd's flags and light counters (0 and 255) drawn, so a flagged
+    # full cell reads above 2**32 - 1
+    flows = list(dict.fromkeys([*flows, 0, _U32_MAX]))
+    memory = buckets * bucket_footprint(width) * (1 if cls is ElasticHH else 2)
+    s = cls(memory, lam=lam, cells_per_bucket=width, seed=seed)
+    s.insert_trace(np.array([flows[i % len(flows)] for i in picks], dtype=np.uint32))
+    vote = st.sampled_from([1, _U32_MAX]) | st.integers(1, _U32_MAX)
+    for i, v in enumerate(s.votes):
+        if v:
+            s.votes[i] = data.draw(vote)
+            if cls is ElasticStd:
+                s.flags[i] = data.draw(st.booleans())
+    if cls is ElasticStd:
+        s.light[:] = bytes(data.draw(st.lists(st.sampled_from([0, 255]) | st.integers(0, 255),
+                                              min_size=s.light_size, max_size=s.light_size)))
+    native_reads, python_reads = reads_on_both_paths(s, flows)
+    assert native_reads == python_reads
+
+
+@needs_native
+def test_flagged_full_cell_reads_above_32_bits_on_both_paths():
+    s = ElasticStd(96)
+    f = 5
+    s.ids[0], s.votes[0], s.flags[0] = f, _U32_MAX, 1
+    s.light[s.light_index(f)] = 255
+    native_reads, python_reads = reads_on_both_paths(s, [f])
+    assert native_reads == python_reads
+    assert native_reads[0] == [_U32_MAX + 255]
+
+
+# every sketch whose reads go through a native view, and the buffers it pins
+VIEWED = {
+    "elastic_hh": (lambda: ElasticHH(1024), ["ids", "votes"]),
+    "elastic": (lambda: ElasticStd(1024), ["ids", "votes", "flags", "light"]),
+    "cmheap": (lambda: CMHeap(2048, rows=3, heap_capacity=32, charge_heap=False),
+               ["counters"]),
+    "countheap": (lambda: CountHeap(2048, rows=4, heap_capacity=32, charge_heap=False),
+                  ["counters"]),
+}
+
+
+def viewed_sketch(name):
+    """A sketch of VIEWED fed a random trace, and its keys with 0 and 2**32 - 1."""
+    s = VIEWED[name][0]()
+    keys = random_trace(np.random.default_rng(len(name)), max_packets=5000).keys
+    s.insert_trace(keys)
+    return s, [0, _U32_MAX, *np.unique(keys).tolist()]
+
+
+@needs_native
+@pytest.mark.parametrize("name", sorted(VIEWED))
+def test_a_native_read_leaves_the_state_as_it_was(name):
+    s, keys = viewed_sketch(name)
+    before = state(s)
+    s.query(keys[-1])
+    s.report(1)
+    assert s._view is not None
+    assert state(s) == before
+
+
+@needs_native
+@pytest.mark.parametrize("name", sorted(VIEWED))
+def test_an_unpickled_copy_reads_alike_on_both_paths(name):
+    s, keys = viewed_sketch(name)
+    reads = reads_on_both_paths(s, keys)
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy._view is None
+    assert reads_on_both_paths(copy, keys) == reads
+    assert reads[0] == reads[1]
+
+
+@needs_native
+@pytest.mark.parametrize("name, buffer", [(n, b) for n in sorted(VIEWED) for b in VIEWED[n][1]])
+def test_a_read_pins_the_buffers_for_the_sketch_life(name, buffer):
+    # the view points at the buffers, so after a read none may move; numpy
+    # refuses the resize of an exported array with its own ValueError
+    s, keys = viewed_sketch(name)
+    if buffer == "counters":
+        rows, width = s.counters.shape
+        viewed_sketch(name)[0].counters.resize((rows, width + 1))  # passes: no read yet
+        s.query(keys[0])
+        with pytest.raises(ValueError, match="cannot resize"):
+            s.counters.resize((rows, width + 1))
+    else:
+        buf = getattr(s, buffer)
+        buf.append(buf.pop())  # passes: no read yet
+        s.query(keys[0])
+        with pytest.raises(BufferError):
+            buf.pop()
+
+
+@needs_native
+def test_every_read_export_holds_the_gil():
+    # a view's one Count-sketch scratch is shared by every reader, safe only
+    # while each read holds the GIL; the passes run without it
+    for fn in native._READS:
+        assert getattr(native.NATIVE, fn)._flags_ & ctypes._FUNCFLAG_PYTHONAPI, fn
+    for fn in native._SIGNATURES:
+        assert not getattr(native.NATIVE, fn)._flags_ & ctypes._FUNCFLAG_PYTHONAPI, fn
+
+
+@needs_native
+def test_threads_reading_one_count_sketch_get_its_estimates():
+    # the view's one scratch serves every thread, which is safe because each
+    # read holds the GIL; a torn median would differ from these estimates
+    s, keys = viewed_sketch("countheap")
+    expected = [s.query(k) for k in keys]
+    agreed = {}
+
+    def reader(t):
+        agreed[t] = all([s.query(k) for k in keys] == expected for _ in range(20))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert agreed == dict.fromkeys(range(4), True)
