@@ -5,9 +5,10 @@ insert_trace(), query(), report(). Memory accounting is byte-budget based so
 the algorithms can be compared at equal total memory; the top-k heap's nodes
 are charged against the budget by default (configurable). All three keep
 fixed-width state. Space-Saving's insert_trace is one native pass, and
-CMHeap and CountHeap share another and two reads; all are in kernels.c with
-the Elastic pass, `native.NATIVE` is that one library, and without it every
-insert_trace loops the scalar insert() and every read is Python's.
+CMHeap and CountHeap share another; every query() is one call of the
+sketch's native `Reader`. All are in kernels.c with the Elastic pass,
+`native.NATIVE` is that one library, and without it every insert_trace
+loops the scalar insert() and every read is Python's.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ class _SlotView(Mapping):
         return repr(dict(self.items()))
 
 
-class SpaceSaving(_KeyTable):
+class SpaceSaving(_KeyTable, native.ReaderCache):
     """Space-Saving table of up to k monitored (flow, count, error) entries
     (Metwally, Agrawal and El Abbadi, ICDT 2005).
 
@@ -150,8 +151,10 @@ class SpaceSaving(_KeyTable):
     it evicts the same flow. Counts saturate at 2**32 - 1. insert_trace is
     one native pass (`spacesaving_pass` in kernels.c) over the same arrays
     by the same rules, or the insert() loop when `native.NATIVE` is None;
-    insert() is the reference both paths must match. `counts` and `errors`
-    are read-only {flow: value} views.
+    insert() is the reference both paths must match. query() is one call of
+    the native `Reader`, which probes the same table (`spacesaving_query`),
+    or `_probe` when `native.NATIVE` is None. `counts` and `errors` are
+    read-only {flow: value} views.
     """
 
     def __init__(self, memory_bytes: int):
@@ -244,7 +247,14 @@ class SpaceSaving(_KeyTable):
             pinned(self.tix, nbytes), pinned(self.table, 4 << (32 - self.shift)),
             self.shift, self.capacity, self.size)
 
+    def _read_args(self) -> tuple:
+        nbytes = 4 * self.capacity
+        return ("spacesaving", ((self.keys, nbytes), (self.slot_counts, nbytes),
+                                (self.table, 4 << (32 - self.shift))), (self.shift,))
+
     def query(self, f: int) -> int:
+        if native.NATIVE is not None:
+            return (self._reader or self._new_reader())(f)
         i = self.table[self._probe(check_key(f))] - 1
         return self.slot_counts[i] if i >= 0 else 0
 
@@ -358,7 +368,7 @@ class _TopKHeap(_KeyTable):
         return i
 
 
-class _SketchHeapBase(native.ViewCache):
+class _SketchHeapBase(native.ReaderCache):
     """A linear sketch of `rows` counter rows with a min-heap of the top-k flows.
 
     A packet adds its step to one counter per row and offers its estimate
@@ -368,11 +378,10 @@ class _SketchHeapBase(native.ViewCache):
     the saturating add of a step (`_add`), its estimator over the rows'
     signed counters (`_estimate`), and `_COUNT_SKETCH`, which names the same
     rules to the native kernels in kernels.c: insert_trace is one call of
-    `sketch_heap_pass`, query() one call of `sketch_heap_query`, and
-    report() ranks the heap keys' estimates from one call of
-    `sketch_heap_estimates`; both reads go through the sketch's view
-    (`native.view`). When `native.NATIVE` is None, insert_trace
-    loops insert(), and query() and report() read through the Python rule;
+    `sketch_heap_pass`, and query() one call of the sketch's native
+    `Reader`, which runs `estimate()`; report() ranks the heap keys'
+    estimates from one `query_array` call. When `native.NATIVE` is None,
+    insert_trace loops insert(), and query() reads through the Python rule;
     insert() and that query() are the references both paths must match.
     `seeds` holds the hash rows' seeds as uint64 bytes for the kernels.
     """
@@ -434,20 +443,14 @@ class _SketchHeapBase(native.ViewCache):
     def _counter_bytes(self) -> int:
         return self.rows * self.width * COUNTER_BYTES
 
-    def _new_view(self) -> native.SketchView:
-        """The read view of the pass's counter arguments, cached in `_view`:
-        from here on the counters cannot be resized."""
-        buffers = {"counters": (self.counters, self._counter_bytes()),
-                   "seeds": (array("Q", self.hash.row_seeds), len(self.seeds)),
-                   "scratch": (array("i", [0]) * self.rows, 4 * self.rows)}
-        self._view = native.view(native.SketchView, buffers, rows=self.rows, width=self.width,
-                                 count_sketch=self._COUNT_SKETCH)
-        return self._view
+    def _read_args(self) -> tuple:
+        return ("sketch", ((self.counters, self._counter_bytes()), (self.seeds, len(self.seeds))),
+                (self.rows, self.width, self._COUNT_SKETCH))
 
     def query(self, f: int) -> int:
-        f = check_key(f)
         if native.NATIVE is not None:
-            return native.NATIVE.sketch_heap_query(self._view or self._new_view(), f)
+            return (self._reader or self._new_reader())(f)
+        f = check_key(f)
         return self._estimate([self._sign(r, f) *
                                self.counters.item(r, self.hash.index(r, f, self.width))
                                for r in range(self.rows)])
@@ -456,15 +459,8 @@ class _SketchHeapBase(native.ViewCache):
         """Heap residents with estimates refreshed from the sketch, as
         query() computes them, in (-estimate, key) order."""
         check_threshold(threshold)
-        heap = self.heap
-        if native.NATIVE is None:
-            ests = np.fromiter(map(self.query, heap.keys[:heap.size]), np.int64, heap.size)
-        else:
-            ests = np.empty(heap.size, np.uint32)
-            native.NATIVE.sketch_heap_estimates(
-                pinned(heap.keys, 4 * heap.capacity), heap.size, self._view or self._new_view(),
-                pinned(ests, 4 * heap.size))
-        return _ranked(np.frombuffer(heap.keys, np.uint32)[:heap.size], ests, threshold)
+        keys = np.frombuffer(self.heap.keys, np.uint32)[:self.heap.size]
+        return _ranked(keys, self.query_array(keys), threshold)
 
     def uncharged_bytes(self) -> int:
         """Bytes of the heap's key->slot lookup, which the budget does not charge."""

@@ -16,9 +16,10 @@ The state is fixed-width, as the memory accounting charges it: ids, votes and
 negative votes are array('I'), flags and light counters bytearrays. The bulk
 pass is one C function that reads the same three constants (`elastic_pass`
 in kernels.c, the one native source, which `native.py` compiles and loads),
-and `query()` one call of `elastic_query` over the sketch's read view; when
-`native.NATIVE` is None, `insert_trace` loops `insert()` and `query()` runs
-its Python rule, the references both paths must match.
+and `query()` one call of the sketch's native `Reader`, which runs
+`elastic_query`; when `native.NATIVE` is None, `insert_trace` loops
+`insert()` and `query()` runs its Python rule, the references both paths
+must match.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def bucket_footprint(cells_per_bucket: int) -> int:
     return 64 if cells_per_bucket == 7 else cells_per_bucket * 8 + 4
 
 
-class _ElasticBucket(native.ViewCache):
+class _ElasticBucket(native.ReaderCache):
     """The heavy part and the full-bucket rule; hash row 0 picks the bucket.
 
     Cells fill left to right and are never vacated. An occupied cell holds at
@@ -78,6 +79,8 @@ class _ElasticBucket(native.ViewCache):
     light = None
     # the outcomes of a full bucket's winning and losing packet
     WIN = LOSS = ""
+    # a flow can hold 2**32 - 1 votes plus 255 light counts
+    _ESTIMATE = np.uint64
 
     def __init__(self, memory_bytes: int, lam: float, cells_per_bucket: int,
                  bucket_count: int, seed: int, hash_rows: int):
@@ -192,21 +195,13 @@ class _ElasticBucket(native.ViewCache):
         if clipped:
             self.light_clipped = True
 
-    def _new_view(self) -> native.ElasticView:
-        """The read view, cached in `_view`: from here on the buffers
-        cannot be resized."""
+    def _read_args(self) -> tuple:
         cells = self.bucket_count * self.cells_per_bucket
-        buffers = {"ids": (self.ids, 4 * cells), "votes": (self.votes, 4 * cells)}
-        if self.RESET:
-            buffers["flags"] = (self.flags, cells)
-        light = {}
-        if self.light is not None:
-            buffers["light"] = (self.light, self.light_size)
-            light = {"light_seed": self.hash.row_seeds[1], "light_size": self.light_size}
-        self._view = native.view(native.ElasticView, buffers, bucket_seed=self.hash.row_seeds[0],
-                                 bucket_count=self.bucket_count, cells=self.cells_per_bucket,
-                                 **light)
-        return self._view
+        flags = (self.flags, cells) if self.RESET else (None, 0)
+        light, *light_params = ((None, 0), 0, 0) if self.light is None else (
+            (self.light, self.light_size), self.hash.row_seeds[1], self.light_size)
+        return ("elastic", ((self.ids, 4 * cells), (self.votes, 4 * cells), flags, light),
+                (self.hash.row_seeds[0], self.bucket_count, self.cells_per_bucket, *light_params))
 
     def _cell(self, f: int) -> int:
         """Index of f's cell, or -1 when f is not resident."""
@@ -224,11 +219,11 @@ class _ElasticBucket(native.ViewCache):
         """Estimated size of flow f: its cell's votes (0 when f is not
         resident), plus its light counter when f is not resident or its
         cell is flagged, as then the light part may hold its counts. One
-        call of the native `elastic_query` over the sketch's view, or this
-        Python rule when the kernels are not built."""
-        f = check_key(f)
+        call of the sketch's native Reader, or this Python rule when the
+        kernels are not built."""
         if native.NATIVE is not None:
-            return native.NATIVE.elastic_query(self._view or self._new_view(), f)
+            return (self._reader or self._new_reader())(f)
+        f = check_key(f)
         i = self._cell(f)
         est = self.votes[i] if i >= 0 else 0
         if self.light is not None and (i < 0 or self.RESET and self.flags[i]):

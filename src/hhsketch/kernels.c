@@ -1,4 +1,4 @@
-/* The native passes of all five sketches (see native.py).
+/* The native passes and reads of all five sketches (see native.py).
 
    Each insert pass feeds n keys through one sketch's buffers in place and
    runs that sketch's scalar insert() per key:
@@ -7,21 +7,25 @@
      sketch_heap_pass       CMHeap and CountHeap (baselines.py)
      spacesaving_pass       SpaceSaving (baselines.py)
 
-   and three reads run the same rules over a view, a struct of pointers to
-   one sketch's buffers and its scalar parameters that native.py builds
-   once per sketch:
+   native.py calls them through ctypes, without the GIL.
 
-     elastic_query          query() of one key, over an elastic_view_t
-     sketch_heap_query      query() of one key, over a sketch_view_t
-     sketch_heap_estimates  query() of each of n keys, for report()
+   Every read is a call of one extension type, Reader (at the end of this
+   file), built once per sketch over its buffers and scalar parameters.  It
+   runs the sketch's query() rule on one key, or on each key of a batch:
 
-   native.py calls the passes without the GIL and the reads holding it: a
-   read takes about 100 ns, and the GIL keeps a view's scratch to one
-   reader at a time.
+     elastic_query          ElasticHH and ElasticStd
+     estimate               CMHeap and CountHeap
+     spacesaving_query      SpaceSaving
+
+   A Reader is CPython C-API code, so each call holds the GIL, which keeps
+   its one Count-sketch scratch to one reader at a time.
 
    mix64() is core.mix64, and a hash row's index is mix64(row_seed ^ key) %
    range, as in core.HashFamily. */
 
+/* Python.h comes first, as the C API requires */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stddef.h>
 #include <stdint.h>
 
@@ -227,8 +231,8 @@ void elastic_pass(const uint32_t *keys, size_t n,
     tallies[4] = clipped;
 }
 
-/* An Elastic sketch's view: flags is NULL without RESET, and light NULL
-   without a light part. */
+/* An Elastic sketch's read arguments: flags is NULL without RESET, and
+   light NULL without a light part. */
 typedef struct {
     const uint32_t *ids, *votes;
     const uint8_t *flags, *light;
@@ -240,7 +244,7 @@ typedef struct {
 /* _ElasticBucket.query(): the votes of f's cell, found by insert()'s scan,
    plus f's light counter when f is not resident or its cell is flagged.
    A flow can hold 2**32 - 1 votes and 255 light counts, hence 64 bits. */
-uint64_t elastic_query(const elastic_view_t *ev, uint32_t f)
+static uint64_t elastic_query(const elastic_view_t *ev, uint32_t f)
 {
     uint64_t base = mix(ev->bucket_seed ^ f) % ev->bucket_count * ev->cells;
     size_t i;
@@ -271,9 +275,8 @@ uint64_t elastic_query(const elastic_view_t *ev, uint32_t f)
    The heap is _TopKHeap's: its key table, with ests holding each slot's
    estimate, the first size of capacity slots in use.
 
-   sketch_heap_query() and sketch_heap_estimates() read the same counters
-   by the same rule without writing them, as _SketchHeapBase.query() does,
-   through a sketch_view_t of the same arguments. */
+   estimate() reads the same counters by the same rule without writing
+   them, as _SketchHeapBase.query() does. */
 
 #define CM_MAX UINT32_MAX
 #define COUNT_MAX INT32_MAX
@@ -426,7 +429,7 @@ static inline uint32_t estimate(uint32_t f, const void *counters, size_t rows, u
     return est;
 }
 
-/* A CMHeap's or CountHeap's view: the arguments of estimate(). */
+/* A CMHeap's or CountHeap's read arguments: those of estimate(). */
 typedef struct {
     const void *counters;
     size_t rows;
@@ -435,19 +438,6 @@ typedef struct {
     int count_sketch;
     int32_t *scratch;
 } sketch_view_t;
-
-uint32_t sketch_heap_query(const sketch_view_t *sv, uint32_t key)
-{
-    return estimate(key, sv->counters, sv->rows, sv->width, sv->seeds, sv->count_sketch,
-                    sv->scratch);
-}
-
-void sketch_heap_estimates(const uint32_t *keys, size_t n, const sketch_view_t *sv,
-                           uint32_t *out)
-{
-    for (size_t k = 0; k < n; k++)
-        out[k] = sketch_heap_query(sv, keys[k]);
-}
 
 /* ---- The Space-Saving pass (see baselines.py).
 
@@ -549,4 +539,298 @@ size_t spacesaving_pass(const uint32_t *keys, size_t n, uint32_t *ss_keys, uint3
         }
     }
     return s.size;
+}
+
+/* SpaceSaving.query()'s read arguments: the key table (its tix is not read)
+   and counts, by slot. */
+typedef struct {
+    keytab_t kt;
+    const uint32_t *counts;
+} ss_view_t;
+
+/* SpaceSaving.query(): the count of f's slot, found by the pass's probe,
+   or 0 when f is not monitored. */
+static uint32_t spacesaving_query(const ss_view_t *sv, uint32_t f)
+{
+    uint32_t s = sv->kt.table[probe(&sv->kt, f)];
+    return s ? sv->counts[s - 1] : 0;
+}
+
+/* ---- Reader, the one extension type: every read (see native.py).
+
+   Reader(check_key, rule, buffers, params) is built once per sketch; rule
+   names the read, and buffers and params hold its arguments:
+
+     "elastic"      (ids, votes, flags, light)
+                    (bucket_seed, bucket_count, cells, light_seed, light_size)
+     "sketch"       (counters, seeds)
+                    (rows, width, count_sketch)
+     "spacesaving"  (keys, counts, table)
+                    (shift,)
+
+   A buffer is a pair (object, nbytes): the object must export exactly
+   nbytes, and None is a NULL pointer (an Elastic sketch without flags or
+   light part).  The Reader holds the exports for its life, so a resize of
+   a buffer raises BufferError (numpy: ValueError) instead of moving memory
+   it reads.
+
+   reader(key) returns one key's estimate, and reader.read_into(keys, out)
+   writes the estimate of each uint32 key to out, as uint64 for an Elastic
+   sketch and uint32 otherwise.  An exact int key in [0, 2**32) converts
+   here; any other key goes to check_key (core.check_key), which returns
+   such an int or raises ValueError, so the key rule stays in one place. */
+
+enum { ELASTIC, SKETCH, SPACESAVING, RULES, MAX_PINS = 4, MAX_PARAMS = 5 };
+
+static const char *const rule_names[RULES] = {"elastic", "sketch", "spacesaving"};
+static const Py_ssize_t rule_pins[RULES] = {4, 2, 3}, rule_params[RULES] = {5, 3, 1};
+
+typedef struct reader {
+    PyObject_HEAD
+    vectorcallfunc call;
+    uint64_t (*read)(const struct reader *, uint32_t);
+    size_t out_size; /* bytes of one estimate in read_into's out */
+    PyObject *check_key;
+    Py_buffer pins[MAX_PINS];
+    int32_t *scratch; /* a Count sketch's rows int32s */
+    union {
+        elastic_view_t elastic;
+        sketch_view_t sketch;
+        ss_view_t ss;
+    } v;
+} reader_t;
+
+static uint64_t read_elastic(const reader_t *r, uint32_t f)
+{
+    return elastic_query(&r->v.elastic, f);
+}
+
+static uint64_t read_sketch(const reader_t *r, uint32_t f)
+{
+    const sketch_view_t *s = &r->v.sketch;
+    return estimate(f, s->counters, s->rows, s->width, s->seeds, s->count_sketch, s->scratch);
+}
+
+static uint64_t read_spacesaving(const reader_t *r, uint32_t f)
+{
+    return spacesaving_query(&r->v.ss, f);
+}
+
+/* 1 with *f = k when k is an exact int in [0, 2**32), else 0. */
+static int exact_key(PyObject *k, uint32_t *f)
+{
+    int overflow;
+    long long v;
+    if (!PyLong_CheckExact(k))
+        return 0;
+    v = PyLong_AsLongLongAndOverflow(k, &overflow);
+    if (overflow || v < 0 || v > UINT32_MAX)
+        return 0;
+    *f = (uint32_t)v;
+    return 1;
+}
+
+/* 0 with *f = the flow key k, else -1 with check_key's ValueError set. */
+static int flow_key(const reader_t *r, PyObject *k, uint32_t *f)
+{
+    if (exact_key(k, f))
+        return 0;
+    PyObject *checked = PyObject_CallOneArg(r->check_key, k);
+    if (checked == NULL)
+        return -1;
+    int ok = exact_key(checked, f);
+    Py_DECREF(checked);
+    if (!ok)
+        PyErr_Format(PyExc_TypeError, "check_key returned no flow key for %R", k);
+    return ok ? 0 : -1;
+}
+
+static PyObject *reader_call(PyObject *self, PyObject *const *args, size_t nargsf,
+                             PyObject *kwnames)
+{
+    const reader_t *r = (const reader_t *)self;
+    uint32_t f;
+    if (PyVectorcall_NARGS(nargsf) != 1 || (kwnames && PyTuple_GET_SIZE(kwnames))) {
+        PyErr_SetString(PyExc_TypeError, "a Reader takes one key");
+        return NULL;
+    }
+    if (flow_key(r, args[0], &f) < 0)
+        return NULL;
+    return PyLong_FromUnsignedLongLong(r->read(r, f));
+}
+
+static PyObject *reader_read_into(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    const reader_t *r = (const reader_t *)self;
+    Py_buffer keys, out;
+    PyObject *done = NULL;
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "read_into takes keys and out");
+        return NULL;
+    }
+    if (PyObject_GetBuffer(args[0], &keys, PyBUF_SIMPLE) < 0)
+        return NULL;
+    if (PyObject_GetBuffer(args[1], &out, PyBUF_WRITABLE) < 0) {
+        PyBuffer_Release(&keys);
+        return NULL;
+    }
+    size_t n = (size_t)keys.len / sizeof(uint32_t);
+    if (keys.len % sizeof(uint32_t) || (size_t)out.len != n * r->out_size) {
+        PyErr_Format(PyExc_ValueError, "read_into: %zd bytes of uint32 keys, %zd bytes of "
+                     "out for %zu-byte estimates", keys.len, out.len, r->out_size);
+    } else {
+        const uint32_t *k = keys.buf;
+        if (r->out_size == sizeof(uint64_t))
+            for (size_t i = 0; i < n; i++)
+                ((uint64_t *)out.buf)[i] = r->read(r, k[i]);
+        else
+            for (size_t i = 0; i < n; i++)
+                ((uint32_t *)out.buf)[i] = (uint32_t)r->read(r, k[i]);
+        done = Py_NewRef(Py_None);
+    }
+    PyBuffer_Release(&out);
+    PyBuffer_Release(&keys);
+    return done;
+}
+
+/* 0 with *buf the bytes of the pair (obj, nbytes), exported into *view
+   after checking that obj holds exactly nbytes, or NULL for None; else -1
+   with an exception set. */
+static int pin(PyObject *pair, Py_buffer *view, const void **buf)
+{
+    PyObject *obj;
+    Py_ssize_t nbytes;
+    *buf = NULL;
+    if (!PyArg_ParseTuple(pair, "On", &obj, &nbytes))
+        return -1;
+    if (obj == Py_None)
+        return 0;
+    if (PyObject_GetBuffer(obj, view, PyBUF_SIMPLE) < 0)
+        return -1;
+    if (view->len != nbytes) {
+        PyErr_Format(PyExc_ValueError, "a sketch buffer holds %zd bytes, expected %zd",
+                     view->len, nbytes);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    *buf = view->buf;
+    return 0;
+}
+
+static void reader_dealloc(PyObject *self)
+{
+    reader_t *r = (reader_t *)self;
+    for (int i = 0; i < MAX_PINS; i++)
+        PyBuffer_Release(&r->pins[i]);
+    PyMem_Free(r->scratch);
+    Py_XDECREF(r->check_key);
+    Py_TYPE(self)->tp_free(self);
+}
+
+static PyObject *reader_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"check_key", "rule", "buffers", "params", NULL};
+    PyObject *check_key, *buffers, *params;
+    const char *name;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OsO!O!:Reader", kwlist, &check_key, &name,
+                                     &PyTuple_Type, &buffers, &PyTuple_Type, &params))
+        return NULL;
+    int rule = 0;
+    while (rule < RULES && strcmp(name, rule_names[rule]))
+        rule++;
+    if (rule == RULES) {
+        PyErr_Format(PyExc_ValueError, "no read rule %s", name);
+        return NULL;
+    }
+    if (PyTuple_GET_SIZE(buffers) != rule_pins[rule] ||
+        PyTuple_GET_SIZE(params) != rule_params[rule]) {
+        PyErr_Format(PyExc_ValueError, "the %s read takes %zd buffers and %zd parameters",
+                     name, rule_pins[rule], rule_params[rule]);
+        return NULL;
+    }
+    unsigned long long p[MAX_PARAMS];
+    for (Py_ssize_t i = 0; i < rule_params[rule]; i++) {
+        p[i] = PyLong_AsUnsignedLongLong(PyTuple_GET_ITEM(params, i));
+        if (p[i] == (unsigned long long)-1 && PyErr_Occurred())
+            return NULL;
+    }
+
+    reader_t *r = (reader_t *)type->tp_alloc(type, 0);
+    if (r == NULL)
+        return NULL;
+    r->call = reader_call;
+    r->check_key = Py_NewRef(check_key);
+    const void *b[MAX_PINS];
+    for (Py_ssize_t i = 0; i < rule_pins[rule]; i++)
+        if (pin(PyTuple_GET_ITEM(buffers, i), &r->pins[i], &b[i]) < 0)
+            goto fail;
+    r->out_size = sizeof(uint32_t);
+    switch (rule) {
+    case ELASTIC: {
+        elastic_view_t ev = {b[0], b[1], b[2], b[3], p[0], p[1], p[2], p[3], p[4]};
+        r->v.elastic = ev;
+        r->read = read_elastic;
+        r->out_size = sizeof(uint64_t);
+        break;
+    }
+    case SKETCH: {
+        r->scratch = PyMem_New(int32_t, p[0]);
+        if (r->scratch == NULL) {
+            PyErr_NoMemory();
+            goto fail;
+        }
+        sketch_view_t sv = {b[0], p[0], p[1], b[1], p[2] != 0, r->scratch};
+        r->v.sketch = sv;
+        r->read = read_sketch;
+        break;
+    }
+    case SPACESAVING: {
+        ss_view_t sv = {keytab((uint32_t *)b[0], NULL, (uint32_t *)b[2], (unsigned)p[0]), b[1]};
+        r->v.ss = sv;
+        r->read = read_spacesaving;
+        break;
+    }
+    }
+    return (PyObject *)r;
+
+fail:
+    Py_DECREF(r);
+    return NULL;
+}
+
+static PyMethodDef reader_methods[] = {
+    {"read_into", (PyCFunction)(void (*)(void))reader_read_into, METH_FASTCALL,
+     "read_into(keys, out): the estimate of each uint32 key, written to out"},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject reader_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "hhsketch.kernels.Reader",
+    .tp_basicsize = sizeof(reader_t),
+    .tp_dealloc = reader_dealloc,
+    .tp_vectorcall_offset = offsetof(reader_t, call),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "Reader(check_key, rule, buffers, params): one sketch's query(), "
+              "called with one key",
+    .tp_methods = reader_methods,
+    .tp_new = reader_new,
+};
+
+static struct PyModuleDef kernels_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "kernels",
+    .m_doc = "The native reads of every sketch: one Reader per sketch.",
+    .m_size = -1,
+};
+
+PyMODINIT_FUNC PyInit_kernels(void)
+{
+    if (PyType_Ready(&reader_type) < 0)
+        return NULL;
+    PyObject *m = PyModule_Create(&kernels_module);
+    if (m != NULL && PyModule_AddObjectRef(m, "Reader", (PyObject *)&reader_type) < 0)
+        Py_CLEAR(m);
+    return m;
 }

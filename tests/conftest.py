@@ -4,7 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from hhsketch import Oracle, generate_zipf, native
+from hhsketch import ExperimentConfig, Oracle, generate_zipf, native
+from hhsketch.bench import sketch_factory
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +37,13 @@ def no_native(monkeypatch):
 def state(s):
     """A sketch's whole state as bytes: two sketches in the same state pickle alike."""
     return pickle.dumps(s)
+
+
+def small_sketch(algo, keys=generate_zipf(300, 30, 1.0, 2).keys):
+    """A 1 KB sketch of ALGOS (a 16-entry heap for CMHeap and CountHeap) fed the keys."""
+    s = sketch_factory(ExperimentConfig(algo=algo, memory_kb=1, heap_capacity=16))()
+    s.insert_trace(keys)
+    return s
 
 
 def feed_in_batches(sketch, keys, cuts):

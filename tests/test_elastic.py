@@ -175,6 +175,29 @@ def test_failed_build_falls_back_with_one_warning(compiler, tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == []  # no partial library left behind
 
 
+def test_missing_python_headers_fall_back_with_one_warning(tmp_path, monkeypatch):
+    # the Reader is C-API code, so a build needs this interpreter's Python.h
+    monkeypatch.setattr(native, "_INCLUDE", str(tmp_path / "no-include"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert native.load_kernels(tmp_path) is None
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "Python.h is missing" in str(caught[0].message)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_each_interpreter_abi_gets_its_own_build(tmp_path, monkeypatch):
+    # a build for one Python version, or against other headers, must never
+    # load into another
+    names = set()
+    for suffix in (".cpython-310-x86_64-linux-gnu.so", ".cpython-312-x86_64-linux-gnu.so"):
+        for include in ("/py310/include", "/py312/include"):
+            monkeypatch.setattr(native, "_EXT_SUFFIX", suffix)
+            monkeypatch.setattr(native, "_INCLUDE", include)
+            names.add(native._library(tmp_path).name)
+    assert len(names) == 4
+
+
 @needs_native
 def test_second_load_reuses_the_cached_build(tmp_path, monkeypatch):
     assert native.load_kernels(tmp_path) is not None

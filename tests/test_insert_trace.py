@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hhsketch import (ALGOS, CMHeap, CountHeap, ExperimentConfig, SpaceSaving,
                       generate_zipf, load_trace)
 from hhsketch.bench import sketch_factory
-from conftest import ORDERS, draw_keys, feed_in_batches, state
+from conftest import ORDERS, draw_keys, feed_in_batches, small_sketch, state
 
 
 def make(kind, rows, width, capacity, seed):
@@ -67,13 +67,6 @@ def test_default_heap_matches_scalar_insert(cls):
     feed_in_batches(b, keys, range(0, keys.size, 7_777))
     assert a.heap.size == a.heap.capacity
     assert state(a) == state(b)
-
-
-def small_sketch(algo, keys=generate_zipf(300, 30, 1.0, 2).keys):
-    """A 1 KB sketch (a 16-entry heap for CMHeap and CountHeap) fed the keys."""
-    s = sketch_factory(ExperimentConfig(algo=algo, memory_kb=1, heap_capacity=16))()
-    s.insert_trace(keys)
-    return s
 
 
 @pytest.mark.parametrize("algo", ALGOS)

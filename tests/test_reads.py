@@ -1,21 +1,24 @@
 """Differential tests for the read path: every sketch's report() against a
-reference built from its scalar query(), on both paths, the native Elastic,
-CMHeap and CountHeap reads against their Python rule, and the life of the
-read view those reads go through."""
+reference built from its scalar query(), and query_array() against query(),
+on both paths; the native reads against their Python rule; the key rule of
+query() on both paths; and the life of the native Reader those reads go
+through."""
 
 import ctypes
 import pickle
 import sys
 import threading
+from enum import IntEnum
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhsketch import CMHeap, CountHeap, ElasticHH, ElasticStd, SpaceSaving, native
+from hhsketch import ALGOS, CMHeap, CountHeap, ElasticHH, ElasticStd, SpaceSaving, native
+from hhsketch.core import check_key
 from hhsketch.elastic import bucket_footprint
-from conftest import random_trace, state
+from conftest import random_trace, small_sketch, state
 
 needs_native = pytest.mark.skipif(native.NATIVE is None,
                                   reason="the native kernels are not built")
@@ -91,15 +94,17 @@ def test_python_pass_empty_sketch_reports_nothing(name, no_native):
 
 def reads_on_both_paths(sketch, keys):
     """query() of every key and report() at 1, the median estimate and
-    max + 1, read natively and then through the Python rule, from one sketch."""
+    max + 1, read natively and then through the Python rule, from one
+    sketch, after checking that query_array() reads as query() on each."""
     ests = sorted(sketch.query(k) for k in keys)
     thresholds = [1, max(1, ests[len(ests) // 2]), ests[-1] + 1]
     reads = []
     for path in (native.NATIVE, None):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(native, "NATIVE", path)
-            reads.append(([sketch.query(k) for k in keys],
-                          [sketch.report(t) for t in thresholds]))
+            queries = [sketch.query(k) for k in keys]
+            assert sketch.query_array(keys).tolist() == queries
+            reads.append((queries, [sketch.report(t) for t in thresholds]))
     return reads
 
 
@@ -197,6 +202,28 @@ def test_native_and_python_elastic_reads_agree(cls, width, buckets, lam, flows, 
 
 
 @needs_native
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(1, 8),
+    flows=st.lists(st.integers(0, _U32_MAX), min_size=1, max_size=16, unique=True),
+    picks=st.lists(st.integers(0, 17), max_size=100),
+    data=st.data(),
+)
+def test_native_and_python_spacesaving_reads_agree(capacity, flows, picks, data):
+    # keys 0 and 2**32 - 1 are monitored when picked and not evicted, and
+    # absent otherwise; the slots in use are then re-filled with counts
+    # from 1 to 2**32 - 1, both limits drawn often
+    flows = list(dict.fromkeys([*flows, 0, _U32_MAX]))
+    s = SpaceSaving(12 * capacity)
+    s.insert_trace(np.array([flows[i % len(flows)] for i in picks], dtype=np.uint32))
+    count = st.sampled_from([1, _U32_MAX]) | st.integers(1, _U32_MAX)
+    for i in range(s.size):
+        s.slot_counts[i] = data.draw(count)
+    native_reads, python_reads = reads_on_both_paths(s, flows)
+    assert native_reads == python_reads
+
+
+@needs_native
 def test_flagged_full_cell_reads_above_32_bits_on_both_paths():
     s = ElasticStd(96)
     f = 5
@@ -207,10 +234,11 @@ def test_flagged_full_cell_reads_above_32_bits_on_both_paths():
     assert native_reads[0] == [_U32_MAX + 255]
 
 
-# every sketch whose reads go through a native view, and the buffers it pins
+# every sketch, whose reads go through a native Reader, and the buffers it pins
 VIEWED = {
     "elastic_hh": (lambda: ElasticHH(1024), ["ids", "votes"]),
     "elastic": (lambda: ElasticStd(1024), ["ids", "votes", "flags", "light"]),
+    "spacesaving": (lambda: SpaceSaving(600), ["keys", "slot_counts", "table"]),
     "cmheap": (lambda: CMHeap(2048, rows=3, heap_capacity=32, charge_heap=False),
                ["counters"]),
     "countheap": (lambda: CountHeap(2048, rows=4, heap_capacity=32, charge_heap=False),
@@ -233,7 +261,7 @@ def test_a_native_read_leaves_the_state_as_it_was(name):
     before = state(s)
     s.query(keys[-1])
     s.report(1)
-    assert s._view is not None
+    assert s._reader is not None
     assert state(s) == before
 
 
@@ -243,7 +271,7 @@ def test_an_unpickled_copy_reads_alike_on_both_paths(name):
     s, keys = viewed_sketch(name)
     reads = reads_on_both_paths(s, keys)
     copy = pickle.loads(pickle.dumps(s))
-    assert copy._view is None
+    assert copy._reader is None
     assert reads_on_both_paths(copy, keys) == reads
     assert reads[0] == reads[1]
 
@@ -251,7 +279,7 @@ def test_an_unpickled_copy_reads_alike_on_both_paths(name):
 @needs_native
 @pytest.mark.parametrize("name, buffer", [(n, b) for n in sorted(VIEWED) for b in VIEWED[n][1]])
 def test_a_read_pins_the_buffers_for_the_sketch_life(name, buffer):
-    # the view points at the buffers, so after a read none may move; numpy
+    # the Reader points at the buffers, so after a read none may move; numpy
     # refuses the resize of an exported array with its own ValueError
     s, keys = viewed_sketch(name)
     if buffer == "counters":
@@ -270,12 +298,22 @@ def test_a_read_pins_the_buffers_for_the_sketch_life(name, buffer):
 
 @needs_native
 def test_every_read_export_holds_the_gil():
-    # a view's one Count-sketch scratch is shared by every reader, safe only
-    # while each read holds the GIL; the passes run without it
-    for fn in native._READS:
-        assert getattr(native.NATIVE, fn)._flags_ & ctypes._FUNCFLAG_PYTHONAPI, fn
+    # every read is a call of the sketch's Reader, C-API code that holds the
+    # GIL, which keeps its one Count-sketch scratch to one reader at a time;
+    # the library exports nothing else but the passes, ctypes functions
+    # that run without the GIL
+    exported = {name for name in vars(native.NATIVE) if not name.startswith("_")}
+    assert exported == {"Reader", *native._SIGNATURES}
+    for name in VIEWED:
+        s, keys = viewed_sketch(name)
+        s.query(keys[0])
+        assert type(s._reader) is native.NATIVE.Reader, name
+        s._reader = lambda f: ("read", f)
+        assert s.query(keys[0]) == ("read", keys[0]), name
     for fn in native._SIGNATURES:
-        assert not getattr(native.NATIVE, fn)._flags_ & ctypes._FUNCFLAG_PYTHONAPI, fn
+        pass_ = getattr(native.NATIVE, fn)
+        assert isinstance(pass_, ctypes._CFuncPtr), fn
+        assert not pass_._flags_ & ctypes._FUNCFLAG_PYTHONAPI, fn
 
 
 @needs_native
@@ -301,3 +339,50 @@ def test_threads_reading_one_count_sketch_get_its_estimates():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert agreed == dict.fromkeys(range(4), True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    algo=st.sampled_from(ALGOS),
+    flows=st.lists(st.integers(0, _U32_MAX), min_size=1, max_size=40, unique=True),
+    picks=st.lists(st.integers(0, 41), max_size=400),
+    probe=st.lists(st.integers(0, 41), max_size=60),
+)
+def test_query_array_is_query_of_each_key_on_both_paths(algo, flows, picks, probe):
+    flows = list(dict.fromkeys([*flows, 0, _U32_MAX]))
+    s = small_sketch(algo, np.array([flows[i % len(flows)] for i in picks], dtype=np.uint32))
+    keys = [0, _U32_MAX, *(flows[i % len(flows)] for i in probe)]
+    reads = []
+    for path in (native.NATIVE, None):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(native, "NATIVE", path)
+            got = s.query_array(keys)
+            assert got.tolist() == [s.query(k) for k in keys]
+            assert s.query_array(np.array([], np.uint32)).dtype == got.dtype
+            reads.append((got.dtype, got.tolist()))
+    assert reads[0] == reads[1]
+
+
+class Flow(IntEnum):
+    SEVEN = 7
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_every_key_goes_by_check_key_on_both_paths(algo):
+    # the native Reader converts an exact int in range itself and hands
+    # every other key to check_key, so both paths keep one key rule
+    s = small_sketch(algo, np.array([7, 7, 0, _U32_MAX], dtype=np.uint32))
+    for path in (native.NATIVE, None):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(native, "NATIVE", path)
+            for bad in (True, -1, 2**32, 2**64, 1.0, "1", None):
+                with pytest.raises(ValueError) as want:
+                    check_key(bad)
+                with pytest.raises(ValueError) as got:
+                    s.query(bad)
+                assert str(got.value) == str(want.value)
+                with pytest.raises(ValueError):
+                    s.query_array([bad])
+            for key in (np.uint32(7), np.int64(7), Flow.SEVEN, np.uint32(_U32_MAX)):
+                assert s.query(key) == s.query(int(key)) > 0
+                assert type(s.query(key)) is int
