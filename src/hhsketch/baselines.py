@@ -30,6 +30,7 @@ COUNTER_BYTES = 4
 _U32_MAX = 0xFFFFFFFF   # a Count-Min or Space-Saving count's maximum, and the 32-bit mask
 _COUNT_MAX = 0x7FFFFFFF  # a Count sketch counter's bound, either sign
 _FIB = 0x9E3779B1       # the key table's Fibonacci hash multiplier
+_SS_ARITY = 4           # Space-Saving's heap: slot i's children are 4i + 1 ... 4i + 4
 
 
 def _ranked(keys: np.ndarray, values: np.ndarray, threshold: int) -> list[tuple[int, int]]:
@@ -142,19 +143,21 @@ class SpaceSaving(_KeyTable, native.ReaderCache):
 
     The entries are fixed-width, SS_ENTRY_BYTES each as the budget charges
     them: `keys`, `slot_counts` and `slot_errors` are array('I') by slot,
-    kept as a min-heap on (count, key), found by key through `_KeyTable`'s
-    lookup. A hit adds 1 to the flow's count and sifts it down; a new flow
-    is pushed with count 1 and error 0 while there is room; otherwise it
-    takes the root's slot, the lexicographic minimum (count, key) over the
-    monitored flows, with count c0 + 1 and error c0, and sifts down. Keys
-    are distinct, so that order has no ties and any exact min-structure on
-    it evicts the same flow. Counts saturate at 2**32 - 1. insert_trace is
-    one native pass (`spacesaving_pass` in kernels.c) over the same arrays
-    by the same rules, or the insert() loop when `native.NATIVE` is None;
-    insert() is the reference both paths must match. query() is one call of
-    the native `Reader`, which probes the same table (`spacesaving_query`),
-    or `_probe` when `native.NATIVE` is None. `counts` and `errors` are
-    read-only {flow: value} views.
+    kept as a 4-ary min-heap on (count, key), found by key through
+    `_KeyTable`'s lookup. Slot i's children are 4i + 1 ... 4i + 4; a sift
+    down moves the smallest of them up, which the native pass picks
+    without a branch. A hit adds 1 to the flow's count and sifts it down;
+    a new flow is pushed with count 1 and error 0 while there is room;
+    otherwise it takes the root's slot, the lexicographic minimum (count,
+    key) over the monitored flows, with count c0 + 1 and error c0, and
+    sifts down. Keys are distinct, so that order has no ties and any exact
+    min-structure on it evicts the same flow. Counts saturate at 2**32 - 1.
+    insert_trace is one native pass (`spacesaving_pass` in kernels.c) over
+    the same arrays by the same rules, or the insert() loop when
+    `native.NATIVE` is None; insert() is the reference both paths must
+    match. query() is one call of the native `Reader`, which probes the
+    same table (`spacesaving_query`), or `_probe` when `native.NATIVE` is
+    None. `counts` and `errors` are read-only {flow: value} views.
     """
 
     def __init__(self, memory_bytes: int):
@@ -203,7 +206,7 @@ class SpaceSaving(_KeyTable, native.ReaderCache):
         keys, counts = self.keys, self.slot_counts
         rank = count << 32 | key
         while i > 0:
-            p = (i - 1) >> 1
+            p = (i - 1) // _SS_ARITY
             if counts[p] << 32 | keys[p] < rank:
                 break
             self._put(i, keys[p], counts[p], self.slot_errors[p], self.tix[p])
@@ -211,20 +214,23 @@ class SpaceSaving(_KeyTable, native.ReaderCache):
         self._put(i, key, count, error, t)
 
     def _sift_down(self, i: int, key: int, count: int, error: int, t: int) -> None:
-        """Place the entry at the hole i or below it, moving smaller children up."""
+        """Place the entry at the hole i or below it, moving the smallest
+        child up while it ranks below the entry."""
         keys, counts = self.keys, self.slot_counts
         n = self.size
         rank = count << 32 | key
         while True:
-            child = 2 * i + 1
+            child = _SS_ARITY * i + 1
             if child >= n:
                 break
+            end = child + _SS_ARITY if child + _SS_ARITY < n else n
             rc = counts[child] << 32 | keys[child]
-            if child + 1 < n:
-                r2 = counts[child + 1] << 32 | keys[child + 1]
-                if r2 < rc:
-                    child += 1
-                    rc = r2
+            c = child + 1
+            while c < end:
+                r = counts[c] << 32 | keys[c]
+                if r < rc:
+                    child, rc = c, r
+                c += 1
             if rc > rank:
                 break
             self._put(i, keys[child], counts[child], self.slot_errors[child], self.tix[child])
@@ -269,11 +275,13 @@ class SpaceSaving(_KeyTable, native.ReaderCache):
 class _TopKHeap(_KeyTable):
     """Indexed min-heap of (estimate, key) with O(log n) keyed updates.
 
-    keys and ests hold the entries by slot, and no parent's estimate exceeds
-    its children's; `_KeyTable` finds a key's slot. The native pass
-    (`sketch_heap_pass` in kernels.c) writes the same arrays by the same
-    rules, so both leave the same state. It orders by estimate alone and
-    Space-Saving by (count, key), so each keeps its own sifts.
+    keys and ests hold the entries by slot, as a binary heap: no parent's
+    estimate exceeds its children's; `_KeyTable` finds a key's slot. The
+    native pass (`sketch_heap_pass` in kernels.c) writes the same arrays by
+    the same rules, so both leave the same state. It orders by estimate
+    alone, so among tied estimates the heap's shape decides which entry is
+    the minimum that replace_min() drops: unlike Space-Saving's 4-ary heap
+    on distinct (count, key) ranks, another shape would evict other flows.
     """
 
     def __init__(self, capacity: int):

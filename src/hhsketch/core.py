@@ -109,18 +109,23 @@ def check_threshold(t) -> None:
 
 def key_array(keys) -> np.ndarray:
     """keys as a 1-D uint32 array of flow keys, or ValueError. A 1-D uint32
-    array is returned as it is, after two attribute tests."""
-    keys = np.asarray(keys)
-    if keys.ndim != 1:
-        raise ValueError(f"trace keys must be a 1-D array; got shape {keys.shape}")
-    if keys.dtype == np.uint32:
-        return keys
-    if not np.issubdtype(keys.dtype, np.integer):
-        raise ValueError(f"trace keys must be integers; got dtype {keys.dtype}")
-    if keys.size and (keys.min() < 0 or keys.max() > _KEY_MAX):
+    array is returned as it is, after two attribute tests. An empty list or
+    tuple is an empty batch, but an array of a dtype that is not an integer
+    one is refused, even when empty."""
+    arr = np.asarray(keys)
+    if arr.ndim != 1:
+        raise ValueError(f"trace keys must be a 1-D array; got shape {arr.shape}")
+    if arr.dtype == np.uint32:
+        return arr
+    if not np.issubdtype(arr.dtype, np.integer):
+        # numpy reads an empty list as float64, but it holds no key
+        if not arr.size and isinstance(keys, (list, tuple)):
+            return arr.astype(np.uint32)
+        raise ValueError(f"trace keys must be integers; got dtype {arr.dtype}")
+    if arr.size and (arr.min() < 0 or arr.max() > _KEY_MAX):
         raise ValueError(f"trace keys must lie in [0, {_KEY_MAX}]; "
-                         f"got min {keys.min()}, max {keys.max()}")
-    return keys.astype(np.uint32)
+                         f"got min {arr.min()}, max {arr.max()}")
+    return arr.astype(np.uint32)
 
 
 @dataclass(frozen=True)

@@ -444,13 +444,19 @@ typedef struct {
    spacesaving_pass() feeds the keys through a Space-Saving table and
    returns its new size.  It runs SpaceSaving.insert() per key over the same
    arrays: its key table, with counts and errors by slot, the first size of
-   capacity slots in use, kept as a min-heap on (count, key), compared as
-   count << 32 | key: keys are distinct, so the order has no ties.
+   capacity slots in use, kept as a 4-ary min-heap on (count, key), compared
+   as count << 32 | key: keys are distinct, so the order has no ties.  The
+   children of slot i are 4i + 1 ... 4i + 4, and a sift down picks the
+   smallest without a branch, as scan() picks a bucket's smallest cell: on
+   a churning trace most packets evict, and the root's entry sinks nearly
+   to the bottom, where a binary heap's child choice is a coin toss.
 
    A hit adds 1 to the flow's count and sifts it down; a new flow is pushed
    with count 1 and error 0 while there is room; otherwise it takes the
    root's slot with count c0 + 1 and error c0, where c0 is the root's count,
    and sifts down.  Counts saturate at 2**32 - 1. */
+
+#define SS_ARITY 4
 
 typedef struct {
     keytab_t kt;
@@ -483,7 +489,7 @@ static void ss_sift_up(ss_t *s, size_t i, uint32_t key, uint32_t count, uint32_t
 {
     uint64_t r = rank(count, key);
     while (i > 0) {
-        size_t p = (i - 1) >> 1;
+        size_t p = (i - 1) / SS_ARITY;
         if (rank(s->counts[p], s->kt.keys[p]) < r)
             break;
         put(s, i, s->kt.keys[p], s->counts[p], s->errors[p], s->kt.tix[p]);
@@ -492,22 +498,25 @@ static void ss_sift_up(ss_t *s, size_t i, uint32_t key, uint32_t count, uint32_t
     put(s, i, key, count, error, t);
 }
 
-/* Places the entry at the hole i or below it, moving smaller children up. */
+/* Places the entry at the hole i or below it, moving the smallest child up
+   while it ranks below the entry. */
 static void ss_sift_down(ss_t *s, size_t i, uint32_t key, uint32_t count, uint32_t error,
                          uint32_t t)
 {
     uint64_t r = rank(count, key);
     for (;;) {
-        size_t child = 2 * i + 1;
-        if (child >= s->size)
+        size_t first = SS_ARITY * i + 1;
+        if (first >= s->size)
             break;
-        uint64_t rc = rank(s->counts[child], s->kt.keys[child]);
-        if (child + 1 < s->size) {
-            uint64_t r2 = rank(s->counts[child + 1], s->kt.keys[child + 1]);
-            if (r2 < rc) {
-                child++;
-                rc = r2;
-            }
+        size_t end = first + SS_ARITY < s->size ? first + SS_ARITY : s->size;
+        size_t child = first;
+        uint64_t rc = rank(s->counts[first], s->kt.keys[first]);
+        for (size_t c = first + 1; c < end; c++) {
+            /* branch-free: the smaller of the running minimum and child c */
+            uint64_t rj = rank(s->counts[c], s->kt.keys[c]);
+            int less = rj < rc;
+            child = less ? c : child;
+            rc = less ? rj : rc;
         }
         if (rc > r)
             break;

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from hhsketch import CMHeap, CountHeap, Oracle, SpaceSaving, Trace, generate_zipf, native
 from hhsketch.baselines import COUNTER_BYTES, HEAP_NODE_BYTES, SS_ENTRY_BYTES, _TopKHeap
-from conftest import draw_keys, feed_in_batches, random_trace, state
+from conftest import ORDERS, draw_keys, feed_in_batches, random_trace, state
 
 _U32_MAX = 2**32 - 1
 
 
 def assert_one_slot_per_flow(s):
     """Space-Saving's table holds one slot per monitored flow, its lookup
-    maps each key to that slot, and the slots are a min-heap on (count, key)."""
+    maps each key to that slot, and the slots are a 4-ary min-heap on
+    (count, key): slot i's parent is slot (i - 1) // 4."""
     keys = s.keys[:s.size].tolist()
     assert s.size == len(s.counts) <= s.capacity
     assert sorted(keys) == sorted(s.counts) and len(set(keys)) == s.size
@@ -25,7 +26,23 @@ def assert_one_slot_per_flow(s):
         assert s.table[s.tix[i]] == i + 1
         assert s._probe(key) == s.tix[i]
     ranks = [(s.slot_counts[i], keys[i]) for i in range(s.size)]
-    assert all(ranks[(i - 1) // 2] < ranks[i] for i in range(1, s.size))
+    assert all(ranks[(i - 1) // 4] < ranks[i] for i in range(1, s.size))
+
+
+def linear_scan_reference(keys, capacity):
+    """Reference Space-Saving's (counts, errors) after the keys: a new flow
+    with the table full evicts min((count, key)), found by a linear scan."""
+    counts, errors = {}, {}
+    for f in keys:
+        if f in counts:
+            counts[f] += 1
+        elif len(counts) < capacity:
+            counts[f], errors[f] = 1, 0
+        else:
+            c0, k0 = min((c, k) for k, c in counts.items())
+            del counts[k0], errors[k0]
+            counts[f], errors[f] = c0 + 1, c0
+    return counts, errors
 
 
 class TestSpaceSaving:
@@ -94,16 +111,7 @@ class TestSpaceSaving:
             tr = random_trace(rng, max_packets=3000, max_distinct=300)
             s = SpaceSaving(12 * int(rng.integers(1, 40)))
             s.insert_trace(tr.keys)
-            counts, errors = {}, {}
-            for f in tr.keys.tolist():
-                if f in counts:
-                    counts[f] += 1
-                elif len(counts) < s.capacity:
-                    counts[f], errors[f] = 1, 0
-                else:
-                    c0, k0 = min((c, k) for k, c in counts.items())
-                    del counts[k0], errors[k0]
-                    counts[f], errors[f] = c0 + 1, c0
+            counts, errors = linear_scan_reference(tr.keys.tolist(), s.capacity)
             assert s.counts == counts
             assert s.errors == errors
             assert_one_slot_per_flow(s)
@@ -368,6 +376,33 @@ def test_spacesaving_native_and_fallback_state_identical(monkeypatch):
             m.setattr(native, "NATIVE", None)
             feed_in_batches(b, keys, cuts)
         assert state(a) == state(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.integers(1, 40),
+    n_flows=st.integers(1, 80),
+    n=st.sampled_from([1, 10, 100, 1000]),
+    order=st.sampled_from(sorted(ORDERS)),
+    cuts=st.lists(st.integers(0, 1000), max_size=6),
+    seed=st.integers(0, 2**16),
+)
+def test_heap_matches_linear_scan_reference_in_any_batches(capacity, n_flows, n, order, cuts,
+                                                           seed):
+    # capacities 1-40 leave the heap's last family 1, 2, 3 or 4 children;
+    # up to 82 flows, keys 0 and 2**32 - 1 always among them, force evictions
+    rng = np.random.default_rng(seed)
+    keys = ORDERS[order]([0, _U32_MAX, *draw_keys(rng, n_flows, n, True)])
+    s = SpaceSaving(12 * capacity)
+    feed_in_batches(s, keys, cuts)
+    counts, errors = linear_scan_reference(keys, capacity)
+    assert s.counts == counts
+    assert s.errors == errors
+    assert_one_slot_per_flow(s)
+
+
+def test_python_pass_heap_matches_linear_scan_reference_in_any_batches(no_native):
+    test_heap_matches_linear_scan_reference_in_any_batches()
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhsketch import (ALGOS, CMHeap, CountHeap, ExperimentConfig, SpaceSaving,
-                      generate_zipf, load_trace)
+from hhsketch import (ALGOS, CMHeap, CountHeap, ExperimentConfig, SpaceSaving, Trace,
+                      generate_zipf, load_trace, native)
 from hhsketch.bench import sketch_factory
 from conftest import ORDERS, draw_keys, feed_in_batches, small_sketch, state
 
@@ -76,6 +76,27 @@ def test_empty_batch_changes_nothing(algo, packets):
     before = state(s)
     s.insert_trace(np.array([], dtype=np.uint32))
     assert state(s) == before
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("path", ["native", "python"])
+def test_empty_list_is_an_empty_batch(algo, path, monkeypatch):
+    # numpy reads an empty list as float64, but a list or tuple without keys
+    # is an empty batch; an empty float array is still no key array
+    if path == "python":
+        monkeypatch.setattr(native, "NATIVE", None)
+    s = small_sketch(algo)
+    before = state(s)
+    for batch in ([], ()):
+        s.insert_trace(batch)
+        got = s.query_array(batch)
+        assert got.size == 0 and got.dtype == s.query_array([7]).dtype
+        assert len(Trace(batch)) == 0
+    assert state(s) == before
+    with pytest.raises(ValueError, match="dtype float64"):
+        s.insert_trace(np.array([], float))
+    with pytest.raises(ValueError, match="dtype float64"):
+        s.query_array(np.array([], float))
 
 
 @pytest.mark.parametrize("algo", ALGOS)
