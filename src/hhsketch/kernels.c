@@ -276,7 +276,16 @@ static uint64_t elastic_query(const elastic_view_t *ev, uint32_t f)
    estimate, the first size of capacity slots in use.
 
    estimate() reads the same counters by the same rule without writing
-   them, as _SketchHeapBase.query() does. */
+   them, as _SketchHeapBase.query() does, through the same sign() and
+   upper_median().
+
+   Neither sketch's per-row step branches on the data.  Count-Min's add
+   and minimum are selects.  A Count sketch's sign is a coin toss per row,
+   so sign() computes it from the hash bit, count_add() keeps the old
+   counter through a select, and upper_median() is an insertion network
+   whose compare-exchanges are selects: gcc -O2 compiles all three to
+   cmov and arithmetic.  The heap's sifts and the key table's probes still
+   branch; the sifts are inline, so offer() runs them without a call. */
 
 #define CM_MAX UINT32_MAX
 #define COUNT_MAX INT32_MAX
@@ -293,7 +302,7 @@ static inline void place(heap_t *h, size_t i, uint32_t key, uint32_t est, uint32
     link_entry(&h->kt, i, key, t);
 }
 
-static size_t sift_up(heap_t *h, size_t i)
+static inline size_t sift_up(heap_t *h, size_t i)
 {
     uint32_t key = h->kt.keys[i], est = h->ests[i], t = h->kt.tix[i];
     while (i > 0) {
@@ -307,7 +316,7 @@ static size_t sift_up(heap_t *h, size_t i)
     return i;
 }
 
-static size_t sift_down(heap_t *h, size_t i)
+static inline size_t sift_down(heap_t *h, size_t i)
 {
     uint32_t key = h->kt.keys[i], est = h->ests[i], t = h->kt.tix[i];
     for (;;) {
@@ -352,25 +361,32 @@ static inline uint64_t cell(const uint64_t *seeds, size_t r, uint32_t f, uint64_
 }
 
 /* Key f's Count sketch step in row r: +1 when the hash of row rows + r is
-   odd.  A macro: as an inline function it moves gcc -O2's branch layout in
-   sketch_heap_pass. */
-#define SIGN(seeds, rows, r, f) (mix((seeds)[(rows) + (r)] ^ (f)) & 1 ? 1 : -1)
-
-static inline int32_t count_add(int32_t c, int s)
+   odd, else -1, computed from the hash bit without a branch. */
+static inline int sign(const uint64_t *seeds, size_t rows, size_t r, uint32_t f)
 {
-    return s > 0 ? c + (c < COUNT_MAX) : c - (c > -COUNT_MAX);
+    return (int)(mix(seeds[rows + r] ^ f) & 1) * 2 - 1;
 }
 
-/* sorted(v)[rows // 2], floored at 0; sorts v in place */
+/* c + s, or c when the sum leaves +-COUNT_MAX: added in 64 bits, and the
+   old counter kept through a select. */
+static inline int32_t count_add(int32_t c, int s)
+{
+    int64_t v = (int64_t)c + s;
+    return v > COUNT_MAX || v < -COUNT_MAX ? c : (int32_t)v;
+}
+
+/* sorted(v)[rows // 2], floored at 0; sorts v in place.  An insertion
+   network: each v[i] moves down by compare-exchanges over every earlier
+   position, with min and max as selects, so which values meet depends on
+   rows alone and no branch waits on a comparison. */
 static inline uint32_t upper_median(int32_t *v, size_t rows)
 {
-    for (size_t i = 1; i < rows; i++) {
-        int32_t x = v[i];
-        size_t j = i;
-        for (; j > 0 && v[j - 1] > x; j--)
-            v[j] = v[j - 1];
-        v[j] = x;
-    }
+    for (size_t i = 1; i < rows; i++)
+        for (size_t j = i; j > 0; j--) {
+            int32_t a = v[j - 1], b = v[j];
+            v[j - 1] = a < b ? a : b;
+            v[j] = a < b ? b : a;
+        }
     return v[rows / 2] > 0 ? (uint32_t)v[rows / 2] : 0;
 }
 
@@ -389,7 +405,7 @@ size_t sketch_heap_pass(const uint32_t *keys, size_t n, void *counters, size_t r
             int32_t *c = counters;
             for (size_t r = 0; r < rows; r++) {
                 int32_t *p = c + cell(seeds, r, f, width);
-                int s = SIGN(seeds, rows, r, f);
+                int s = sign(seeds, rows, r, f);
                 *p = count_add(*p, s);
                 scratch[r] = s * *p;
             }
@@ -417,7 +433,7 @@ static inline uint32_t estimate(uint32_t f, const void *counters, size_t rows, u
     if (count_sketch) {
         const int32_t *c = counters;
         for (size_t r = 0; r < rows; r++)
-            scratch[r] = SIGN(seeds, rows, r, f) * c[cell(seeds, r, f, width)];
+            scratch[r] = sign(seeds, rows, r, f) * c[cell(seeds, r, f, width)];
         return upper_median(scratch, rows);
     }
     const uint32_t *c = counters;

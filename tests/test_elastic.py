@@ -1,6 +1,7 @@
 """Both Elastic variants: key 0 as an ordinary flow, scalar vs batched bulk
-insert over adversarial key orders on both bulk paths, and the build of the
-native library (`native.py`)."""
+insert over adversarial key orders on both bulk paths, criterion 2's
+conservation identities at either entry point, and the build of the native
+library (`native.py`)."""
 
 import re
 import warnings
@@ -41,6 +42,19 @@ def test_nan_lambda_rejected(cls):
         cls(1024, lam=float("nan"))
 
 
+def sized(cls, buckets, cells, lam, seed):
+    """The sketch at the smallest budget with exactly `buckets` buckets
+    (ElasticStd gives a quarter of it to the light part); widths other than
+    the default 7 check the native pass's bucket stride. lam None is the
+    class default."""
+    fp = elastic.bucket_footprint(cells)
+    mem = fp * buckets if cls is ElasticHH else -(-fp * buckets * 4 // 3)
+    kwargs = {"seed": seed, "cells_per_bucket": cells}
+    if lam is not None:
+        kwargs["lam"] = lam
+    return cls(mem, **kwargs)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     cls=st.sampled_from([ElasticHH, ElasticStd]),
@@ -60,16 +74,8 @@ def test_scalar_and_bulk_insert_agree(cls, n_flows, n, order, buckets, cells, la
     # light counter, so the keys come from a seeded draw
     rng = np.random.default_rng(seed)
     keys = ORDERS[order](draw_keys(rng, n_flows, n, extremes))
-    # smallest budget with exactly `buckets` buckets (ElasticStd gives a
-    # quarter of it to the light part); widths other than the default 7
-    # check the native pass's bucket stride
-    fp = elastic.bucket_footprint(cells)
-    mem = fp * buckets if cls is ElasticHH else -(-fp * buckets * 4 // 3)
-    kwargs = {"seed": seed, "cells_per_bucket": cells}
-    if lam is not None:
-        kwargs["lam"] = lam
-    a = cls(mem, **kwargs)
-    b = cls(mem, **kwargs)
+    a = sized(cls, buckets, cells, lam, seed)
+    b = sized(cls, buckets, cells, lam, seed)
     assert a.bucket_count == buckets
     for f in keys:
         a.insert(f)
@@ -90,6 +96,43 @@ def test_scalar_and_bulk_insert_agree(cls, n_flows, n, order, buckets, cells, la
 
 def test_python_pass_scalar_and_bulk_insert_agree(no_native):
     test_scalar_and_bulk_insert_agree()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cls=st.sampled_from([ElasticHH, ElasticStd]),
+    entry=st.sampled_from(["insert", "insert_trace"]),
+    n_flows=st.integers(1, 64),
+    n=st.sampled_from([1, 8, 100, 1000, 10_000]),
+    buckets=st.sampled_from([1, 2, 3, 5]),
+    cells=st.sampled_from([7, 1, 3, 8]),
+    lam=st.sampled_from([None, 0.0, 0.5, 1.0, 8.0]),
+    cuts=st.lists(st.integers(0, 10_000), max_size=6),
+    seed=st.integers(0, 2**16),
+)
+def test_conservation_identities_hold_at_either_entry(cls, entry, n_flows, n, buckets, cells,
+                                                      lam, cuts, seed):
+    # criterion 2's identities from the packet count alone, with no second
+    # sketch to compare against: every packet gets one outcome, and the
+    # votes it adds end in a cell, in the light part or in a discard
+    keys = draw_keys(np.random.default_rng(seed), n_flows, n, True)
+    s = sized(cls, buckets, cells, lam, seed)
+    if entry == "insert":
+        for f in keys:
+            s.insert(f)
+    else:
+        feed_in_batches(s, keys, cuts)
+    packets = len(keys)
+    assert s.hits + s.empty_inserts + s.wins + s.losses == packets
+    if cls is ElasticHH:
+        assert sum(s.votes) + s.discards == packets
+    else:
+        total = s.heavy_votes_total() + s.light_total()
+        assert total < packets if s.light_clipped else total == packets
+
+
+def test_python_pass_conservation_identities_hold_at_either_entry(no_native):
+    test_conservation_identities_hold_at_either_entry()
 
 
 @pytest.mark.parametrize("cls", [

@@ -56,6 +56,64 @@ def test_python_pass_batched_bulk_matches_scalar_insert(no_native):
     test_batched_bulk_matches_scalar_insert()
 
 
+# counters at and next to each limit: Count-Min's 2**32 - 1, the Count
+# sketch's +-(2**31 - 1), and the signs' crossing at 0
+_CM_LIMITS = [0, 1, 2**31 - 2, 2**31 - 1, 2**32 - 2, 2**32 - 1]
+_COUNT_LIMITS = [0, 1, -1, 2**31 - 2, -(2**31 - 2), 2**31 - 1, -(2**31 - 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["cmheap", "countheap"]),
+    rows=st.integers(1, 17),
+    width=st.integers(1, 4),
+    capacity=st.integers(1, 8),
+    n_flows=st.integers(1, 24),
+    n=st.sampled_from([1, 10, 100, 400]),
+    cuts=st.lists(st.integers(0, 400), max_size=6),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_pass_from_counters_at_their_limits_matches_scalar_insert(kind, rows, width, capacity,
+                                                                  n_flows, n, cuts, seed, data):
+    # pre-filled counters saturate or clamp within a few packets, and rows
+    # drawn from 1-17 take both a middle and an upper median; the limits
+    # repeat across a row, so the median sorts ties
+    if kind == "cmheap":
+        counter = st.sampled_from(_CM_LIMITS) | st.integers(0, 2**32 - 1)
+    else:
+        counter = st.sampled_from(_COUNT_LIMITS) | st.integers(-(2**31 - 1), 2**31 - 1)
+    fill = data.draw(st.lists(counter, min_size=rows * width, max_size=rows * width))
+    keys = draw_keys(np.random.default_rng(seed), n_flows, n, True)
+    a = make(kind, rows, width, capacity, seed)
+    b = make(kind, rows, width, capacity, seed)
+    for s in (a, b):
+        s.counters[:] = np.array(fill, dtype=s.counters.dtype).reshape(rows, width)
+    for f in keys:
+        a.insert(f)
+    feed_in_batches(b, keys, cuts)
+    assert state(a) == state(b)
+
+
+def test_python_pass_pass_from_counters_at_their_limits_matches_scalar_insert(no_native):
+    test_pass_from_counters_at_their_limits_matches_scalar_insert()
+
+
+@pytest.mark.parametrize("cls", [CMHeap, CountHeap])
+def test_many_rows_pass_as_scalar_insert(cls):
+    # the Count sketch's median takes rows int32s of scratch from the caller,
+    # so no row count overruns a fixed buffer
+    rng = np.random.default_rng(65)
+    a, b = (cls(4 * 65 * 32, rows=65, heap_capacity=16, charge_heap=False) for _ in range(2))
+    flows = rng.choice(2**32, size=40, replace=False)
+    keys = flows[rng.integers(0, 40, 3000)].astype(np.uint32)
+    for f in keys.tolist():
+        a.insert(f)
+    feed_in_batches(b, keys, [1000, 2000])
+    assert state(a) == state(b)
+    assert a.heap.size == a.heap.capacity
+
+
 @pytest.mark.parametrize("cls", [CMHeap, CountHeap])
 def test_default_heap_matches_scalar_insert(cls):
     # a 4096-node heap that fills and then replaces its minimum thousands
