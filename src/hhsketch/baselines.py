@@ -437,9 +437,9 @@ class _SketchHeapBase(native.ReaderCache):
                 self.insert(f)
             return
         heap = self.heap
-        # a Count sketch's median takes rows int32s of scratch; the seeds
+        # a Count sketch's median takes rows int64s of scratch; the seeds
         # are immutable bytes, so they need no pin
-        scratch = (ctypes.c_int32 * self.rows)() if self._COUNT_SKETCH else None
+        scratch = (ctypes.c_int64 * self.rows)() if self._COUNT_SKETCH else None
         heap.size = native.NATIVE.sketch_heap_pass(
             keys.ctypes.data, keys.size, pinned(self.counters, self._counter_bytes()),
             self.rows, self.width, self.seeds, self._COUNT_SKETCH, scratch,

@@ -19,13 +19,15 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .baselines import CMHeap, CountHeap, SpaceSaving
 from .core import (TRACE_FORMATS, Trace, TraceLoadError, generate_zipf, load_trace, mix64,
                    write_trace)
 from .elastic import ElasticHH, ElasticStd
 from .metrics import (MetricsBundle, NoopSketch, Oracle, cdf, compute_accuracy,
-                      measure_throughput, true_heavy_hitters)
+                      measure_throughput)
 
 # algorithm name -> its sketch class and the arguments that follow the byte
 # budget, from a config; ALGOS keeps this order
@@ -182,7 +184,7 @@ def run_single(cfg: ExperimentConfig, trace: Trace | None = None,
     return ResultRow(
         config=cfg.to_dict(),
         n_packets=len(trace),
-        n_true_hh=len(true_heavy_hitters(oracle, threshold)),
+        n_true_hh=oracle.heavy(threshold)[0].size,
         threshold=threshold,
         metrics=bundle,
         mpps_mean=mpps_mean,
@@ -362,11 +364,12 @@ def main(argv: list[str] | None = None) -> int:
             trace = load_trace(args.trace, args.trace_format)
             oracle = Oracle.from_trace(trace)
             threshold = oracle.threshold(args.threshold_frac)
-            heavy = sorted(((oracle.counts[f], f) for f in true_heavy_hitters(oracle, threshold)),
-                           reverse=True)
-            print(f"packets={oracle.n} distinct={len(oracle.counts)} "
-                  f"threshold={threshold} heavy_hitters={len(heavy)}")
-            for c, f in heavy[:args.top]:
+            keys, counts = oracle.heavy(threshold)
+            # by count, then key, both descending
+            top = np.lexsort((keys, counts))[::-1][:args.top]
+            print(f"packets={oracle.n} distinct={oracle.keys.size} "
+                  f"threshold={threshold} heavy_hitters={keys.size}")
+            for f, c in zip(keys[top].tolist(), counts[top].tolist()):
                 print(f"{f}\t{c}")
             return 0
         # a sweep's base config is elastic_hh's; each row sets its own algorithm

@@ -19,6 +19,10 @@ _KEY_MAX = 0xFFFFFFFF
 # on-disk trace formats, as load_trace, write_trace and the CLI name them
 TRACE_FORMATS = ("binary-u32", "csv")
 
+# generate_zipf's block: it builds its guide table from this many cdf
+# entries at a time and draws this many uniforms at a time
+_ZIPF_BLOCK = 1 << 16
+
 
 class TraceLoadError(Exception):
     """A trace file could not be parsed; the message names the byte/line offset."""
@@ -184,7 +188,16 @@ def generate_zipf(n: int, distinct: int, skew: float, seed: int) -> Trace:
 
     Rank r (key value r, 1-based) is drawn with probability proportional to
     1/r**skew via inverse-CDF sampling, so the distribution is exact and
-    deterministic given the seed.
+    deterministic given the seed: packet i is rank
+    searchsorted(cdf, u[i], "right") + 1 for u = default_rng(seed).random(n).
+
+    The search runs through a guide table (Chen and Asau's indexed search):
+    `scale` is a power of two, so j = floor(u * scale) is exact and
+    j / scale <= u < (j + 1) / scale. guide[j], the number of cdf entries
+    below j / scale, and guide[j + 1] bound the rank, so a draw bisects
+    only the cdf entries between them, and most draws none. The draws come
+    in blocks of _ZIPF_BLOCK: the same stream as one draw of n, with
+    temporaries of bounded size.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -194,13 +207,45 @@ def generate_zipf(n: int, distinct: int, skew: float, seed: int) -> Trace:
         raise ValueError("distinct exceeds the 32-bit key space")
     if not (skew > 0 and math.isfinite(skew)):
         raise ValueError(f"skew must be > 0 and finite, got {skew}")
-    ranks = np.arange(1, distinct + 1, dtype=np.float64)
-    weights = ranks ** -skew
-    cdf = np.cumsum(weights)
+    cdf = np.arange(1, distinct + 1, dtype=np.float64)
+    np.power(cdf, -skew, out=cdf)
+    np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
+    # two to four buckets a rank, so that most buckets hold no cdf entry;
+    # or as many a draw, when there are fewer draws than ranks to look up
+    scale = 2 << (min(n, distinct) - 1).bit_length()
+    # guide[j] counts the entries k with floor(cdf[k] * scale) < j: the last
+    # entry k of each run of equal floors sets guide[floor + 1] = k + 1, and
+    # a running maximum fills the rest. cdf[-1] is 1, so no count passes
+    # distinct - 1 and uint32 holds them.
+    guide = np.zeros(scale + 1, np.uint32)
+    for start in range(0, distinct - 1, _ZIPF_BLOCK):
+        # the product is exact and the cast truncates, so this is the floor
+        fl = (cdf[start:start + _ZIPF_BLOCK + 1] * scale).astype(np.intp)
+        last = np.flatnonzero(fl[:-1] < fl[1:])
+        guide[fl[last] + 1] = last + start + 1
+    np.maximum.accumulate(guide, out=guide)
     rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    keys = (np.searchsorted(cdf, u, side="right") + 1).astype(np.uint32)
+    keys = np.empty(n, np.uint32)
+    for start in range(0, n, _ZIPF_BLOCK):
+        u = rng.random(min(_ZIPF_BLOCK, n - start))
+        j = (u * scale).astype(np.intp)
+        rank = guide.take(j)
+        # bisect the open windows [lo, hi), the ones that hold a cdf entry
+        hi = guide.take(j + 1)
+        o = np.flatnonzero(rank < hi)
+        lo, hi, u = rank[o].astype(np.intp), hi[o].astype(np.intp), u[o]
+        while o.size:
+            mid = (lo + hi) >> 1
+            right = cdf[mid] <= u
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+            done = lo == hi
+            rank[o[done]] = lo[done]
+            keep = ~done
+            o, lo, hi, u = o[keep], lo[keep], hi[keep], u[keep]
+        rank += 1
+        keys[start:start + rank.size] = rank
     return Trace(keys)
 
 

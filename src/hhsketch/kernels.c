@@ -269,7 +269,9 @@ static uint64_t elastic_query(const elastic_view_t *ev, uint32_t f)
                    key's sign hash (+1 when the hash of row rows + r is
                    odd), clamped at +-(2**31 - 1), and the estimate is the
                    upper median over rows of sign * counter, floored at 0;
-                   scratch holds rows int32s.
+                   scratch holds rows int64s.  The product is formed in 64
+                   bits: counters is a writable array, and a counter set to
+                   -2**31 times sign -1 is 2**31, as in Python.
 
    seeds are the hash rows' seeds (rows, or 2 * rows for a Count sketch).
    The heap is _TopKHeap's: its key table, with ests holding each slot's
@@ -378,12 +380,13 @@ static inline int32_t count_add(int32_t c, int s)
 /* sorted(v)[rows // 2], floored at 0; sorts v in place.  An insertion
    network: each v[i] moves down by compare-exchanges over every earlier
    position, with min and max as selects, so which values meet depends on
-   rows alone and no branch waits on a comparison. */
-static inline uint32_t upper_median(int32_t *v, size_t rows)
+   rows alone and no branch waits on a comparison.  Every v[i] is a sign
+   times an int32 counter, so the result fits uint32. */
+static inline uint32_t upper_median(int64_t *v, size_t rows)
 {
     for (size_t i = 1; i < rows; i++)
         for (size_t j = i; j > 0; j--) {
-            int32_t a = v[j - 1], b = v[j];
+            int64_t a = v[j - 1], b = v[j];
             v[j - 1] = a < b ? a : b;
             v[j] = a < b ? b : a;
         }
@@ -392,7 +395,7 @@ static inline uint32_t upper_median(int32_t *v, size_t rows)
 
 size_t sketch_heap_pass(const uint32_t *keys, size_t n, void *counters, size_t rows,
                         uint64_t width, const uint64_t *seeds, int count_sketch,
-                        int32_t *scratch, uint32_t *heap_keys, uint32_t *heap_ests,
+                        int64_t *scratch, uint32_t *heap_keys, uint32_t *heap_ests,
                         uint32_t *tix, uint32_t *table, unsigned shift, size_t capacity,
                         size_t size)
 {
@@ -407,7 +410,7 @@ size_t sketch_heap_pass(const uint32_t *keys, size_t n, void *counters, size_t r
                 int32_t *p = c + cell(seeds, r, f, width);
                 int s = sign(seeds, rows, r, f);
                 *p = count_add(*p, s);
-                scratch[r] = s * *p;
+                scratch[r] = (int64_t)s * *p;
             }
             est = upper_median(scratch, rows);
         } else {
@@ -426,14 +429,14 @@ size_t sketch_heap_pass(const uint32_t *keys, size_t n, void *counters, size_t r
 
 /* The estimate of key f, read as the pass computes it after its writes:
    the row minimum, or the upper median of sign * counter floored at 0,
-   with scratch holding rows int32s. */
+   with scratch holding rows int64s. */
 static inline uint32_t estimate(uint32_t f, const void *counters, size_t rows, uint64_t width,
-                                const uint64_t *seeds, int count_sketch, int32_t *scratch)
+                                const uint64_t *seeds, int count_sketch, int64_t *scratch)
 {
     if (count_sketch) {
         const int32_t *c = counters;
         for (size_t r = 0; r < rows; r++)
-            scratch[r] = sign(seeds, rows, r, f) * c[cell(seeds, r, f, width)];
+            scratch[r] = (int64_t)sign(seeds, rows, r, f) * c[cell(seeds, r, f, width)];
         return upper_median(scratch, rows);
     }
     const uint32_t *c = counters;
@@ -452,7 +455,7 @@ typedef struct {
     uint64_t width;
     const uint64_t *seeds;
     int count_sketch;
-    int32_t *scratch;
+    int64_t *scratch;
 } sketch_view_t;
 
 /* ---- The Space-Saving pass (see baselines.py).
@@ -617,7 +620,7 @@ typedef struct reader {
     size_t out_size; /* bytes of one estimate in read_into's out */
     PyObject *check_key;
     Py_buffer pins[MAX_PINS];
-    int32_t *scratch; /* a Count sketch's rows int32s */
+    int64_t *scratch; /* a Count sketch's rows int64s */
     union {
         elastic_view_t elastic;
         sketch_view_t sketch;
@@ -799,7 +802,7 @@ static PyObject *reader_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         break;
     }
     case SKETCH: {
-        r->scratch = PyMem_New(int32_t, p[0]);
+        r->scratch = PyMem_New(int64_t, p[0]);
         if (r->scratch == NULL) {
             PyErr_NoMemory();
             goto fail;

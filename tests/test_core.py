@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhsketch import (
     HashFamily,
@@ -12,12 +14,24 @@ from hhsketch import (
     load_trace,
     write_trace,
 )
-from hhsketch.core import mix64, threshold_for
+from hhsketch.core import _ZIPF_BLOCK, mix64, threshold_for
 
 
 def harmonic(n: int, skew: float = 1.0) -> float:
     """Generalized harmonic number sum_{r=1..n} 1/r**skew."""
     return float(np.sum(np.arange(1, n + 1, dtype=np.float64) ** -skew))
+
+
+def zipf_reference(n: int, distinct: int, skew: float, seed: int) -> np.ndarray:
+    """generate_zipf's keys by one searchsorted over one draw of n uniforms."""
+    cdf = np.cumsum(np.arange(1, distinct + 1, dtype=np.float64) ** -skew)
+    cdf /= cdf[-1]
+    u = np.random.default_rng(seed).random(n)
+    return (np.searchsorted(cdf, u, side="right") + 1).astype(np.uint32)
+
+
+# flow counts at the edges of the guide table's power-of-two sizes
+_EDGE_DISTINCT = sorted({1, 2, 3, *(2**k + d for k in range(2, 18) for d in (-1, 0, 1))})
 
 
 class TestTraceIO:
@@ -145,6 +159,22 @@ class TestZipfGenerator:
         c1 = np.count_nonzero(tr.keys == 1)
         c2 = np.count_nonzero(tr.keys == 2)
         assert c1 / c2 == pytest.approx(4.0, rel=0.1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, _ZIPF_BLOCK - 1, _ZIPF_BLOCK, _ZIPF_BLOCK + 1,
+                           2 * _ZIPF_BLOCK + 1]) | st.integers(1, 5000),
+        distinct=st.sampled_from(_EDGE_DISTINCT) | st.integers(1, 200_000),
+        # from nearly uniform to weights that underflow to 0 past rank 1
+        skew=st.sampled_from([0.01, 0.5, 1.0, 3.0, 1100.0]) | st.floats(0.01, 1100.0),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_one_searchsorted(self, n, distinct, skew, seed):
+        assert np.array_equal(generate_zipf(n, distinct, skew, seed).keys,
+                              zipf_reference(n, distinct, skew, seed))
+
+    def test_default_trace_matches_one_searchsorted(self, default_trace):
+        assert np.array_equal(default_trace.keys, zipf_reference(1_000_000, 100_000, 1.0, 1))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

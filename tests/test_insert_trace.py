@@ -57,9 +57,10 @@ def test_python_pass_batched_bulk_matches_scalar_insert(no_native):
 
 
 # counters at and next to each limit: Count-Min's 2**32 - 1, the Count
-# sketch's +-(2**31 - 1), and the signs' crossing at 0
+# sketch's +-(2**31 - 1), the signs' crossing at 0, and -2**31, which the
+# pass never writes but a writable int32 counter can hold
 _CM_LIMITS = [0, 1, 2**31 - 2, 2**31 - 1, 2**32 - 2, 2**32 - 1]
-_COUNT_LIMITS = [0, 1, -1, 2**31 - 2, -(2**31 - 2), 2**31 - 1, -(2**31 - 1)]
+_COUNT_LIMITS = [0, 1, -1, 2**31 - 2, -(2**31 - 2), 2**31 - 1, -(2**31 - 1), -2**31]
 
 
 @settings(max_examples=200, deadline=None)
@@ -101,7 +102,7 @@ def test_python_pass_pass_from_counters_at_their_limits_matches_scalar_insert(no
 
 @pytest.mark.parametrize("cls", [CMHeap, CountHeap])
 def test_many_rows_pass_as_scalar_insert(cls):
-    # the Count sketch's median takes rows int32s of scratch from the caller,
+    # the Count sketch's median takes rows int64s of scratch from the caller,
     # so no row count overruns a fixed buffer
     rng = np.random.default_rng(65)
     a, b = (cls(4 * 65 * 32, rows=65, heap_capacity=16, charge_heap=False) for _ in range(2))

@@ -1,12 +1,17 @@
 """Exact oracle, accuracy scoring, error CDFs, and throughput measurement."""
 
 import statistics
+from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhsketch import (
     ElasticHH,
+    MetricsBundle,
     Oracle,
     Trace,
     cdf,
@@ -16,6 +21,7 @@ from hhsketch import (
     true_heavy_hitters,
 )
 from hhsketch.metrics import NoopSketch
+from conftest import draw_keys
 
 
 def trace_of(keys):
@@ -42,6 +48,77 @@ class TestOracle:
     def test_true_heavy_hitters_inclusive(self):
         o = Oracle({1: 10, 2: 9, 3: 11}, 30)
         assert true_heavy_hitters(o, 10) == {1, 3}
+
+
+def reference_counts(keys: list[int]) -> dict[int, int]:
+    """{flow: count} in ascending flow order, counted in Python."""
+    return dict(sorted(Counter(keys).items()))
+
+
+def reference_heavy(counts: dict[int, int], threshold: int) -> set[int]:
+    return {f for f, c in counts.items() if c >= threshold}
+
+
+def reference_accuracy(counts: dict[int, int], report, threshold: int) -> MetricsBundle:
+    """compute_accuracy over a {flow: count} dict, its heavy set built by
+    iterating the dict."""
+    phi = reference_heavy(counts, threshold)
+    if not phi:
+        return MetricsBundle(None, None, None, None, None, no_heavy_hitters=True)
+    est = dict(report)
+    ae = {f: abs(counts[f] - est.get(f, 0)) for f in phi}
+    re = {f: ae[f] / counts[f] for f in phi}
+    correct = [f for f in est if f in phi]
+    pr = len(correct) / len(est) if est else 0.0
+    rr = len(correct) / len(phi)
+    f1 = 2 * pr * rr / (pr + rr) if pr + rr > 0 else 0.0
+    return MetricsBundle(sum(ae.values()) / len(phi), sum(re.values()) / len(phi), pr, rr, f1,
+                         [ae[f] for f in correct], [re[f] for f in correct])
+
+
+class TestOracleContract:
+    """Oracle.from_trace against a dict counted in Python: the same
+    mapping, heavy set and accuracy bundles, down to order and float bits."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_flows=st.integers(1, 300), n=st.integers(1, 3000), seed=st.integers(0, 2**32),
+           data=st.data())
+    def test_matches_dict_reference(self, n_flows, n, seed, data):
+        rng = np.random.default_rng(seed)
+        keys = draw_keys(rng, n_flows, n, True)
+        keys += [0, 2**32 - 1]
+        o = Oracle.from_trace(trace_of(keys))
+        ref = reference_counts(keys)
+        assert o.keys.dtype == np.uint32 and o.n == len(keys)
+        assert o.counts == ref and len(o.counts) == len(ref)
+        assert list(o.counts) == list(ref)
+        assert list(o.counts.items()) == list(ref.items())
+        assert list(o.counts.values()) == list(ref.values())
+        for f, c in ref.items():
+            for key in (f, np.uint32(f), np.int64(f)):
+                assert o.counts[key] == c and o.counts.get(key) == c and key in o.counts
+            assert o.true_count(f) == c
+        absent = [f for f in rng.integers(0, 2**32, 20).tolist() if f not in ref]
+        for f in [*absent, -1, 2**32, np.int64(-1), 1.5, "7", None]:
+            assert f not in o.counts and o.counts.get(f, "none") == "none"
+            assert o.true_count(f) == 0
+            with pytest.raises(KeyError):
+                o.counts[f]
+
+        threshold = data.draw(st.integers(1, max(ref.values()) + 1))
+        phi = true_heavy_hitters(o, threshold)
+        assert phi == reference_heavy(ref, threshold)
+        assert list(phi) == list(reference_heavy(ref, threshold))
+        # a report of heavy, light and absent flows, in any order
+        flows = data.draw(st.lists(st.sampled_from([*ref, *absent[:3]]), unique=True))
+        report = [(f, data.draw(st.integers(0, 2 * n))) for f in flows]
+        assert (asdict(compute_accuracy(o, report, threshold))
+                == asdict(reference_accuracy(ref, report, threshold)))
+
+    def test_from_a_mapping_in_any_order(self):
+        o = Oracle({9: 1, 2**32 - 1: 4, 0: 2}, 7)
+        assert list(o.counts.items()) == [(0, 2), (9, 1), (2**32 - 1, 4)]
+        assert repr(o.counts) == "{0: 2, 9: 1, 4294967295: 4}"
 
 
 class TestAccuracy:

@@ -122,15 +122,15 @@ def reads_on_both_paths(sketch, keys):
 )
 def test_native_and_python_reads_agree(cls, rows, width, capacity, flows, picks, seed, data):
     # counters pre-filled at their limits: 2**32 - 1 for Count-Min, and
-    # +-(2**31 - 1) for the Count sketch, whose even row counts take the
-    # upper median
+    # +-(2**31 - 1) and -2**31 for the Count sketch, whose even row counts
+    # take the upper median
     flows = list(dict.fromkeys([*flows, 0, _U32_MAX]))
     s = cls(4 * rows * width, rows=rows, heap_capacity=capacity, seed=seed, charge_heap=False)
     s.insert_trace(np.array([flows[i % len(flows)] for i in picks], dtype=np.uint32))
     if cls is CMHeap:
         counter = st.sampled_from([0, 1, _U32_MAX - 1, _U32_MAX]) | st.integers(0, _U32_MAX)
     else:
-        counter = (st.sampled_from([-_COUNT_MAX, -1, 0, 1, _COUNT_MAX])
+        counter = (st.sampled_from([-2**31, -_COUNT_MAX, -1, 0, 1, _COUNT_MAX])
                    | st.integers(-_COUNT_MAX, _COUNT_MAX))
     s.counters[:] = np.array(data.draw(st.lists(counter, min_size=rows * width,
                                                 max_size=rows * width)),
@@ -142,7 +142,7 @@ def test_native_and_python_reads_agree(cls, rows, width, capacity, flows, picks,
 @needs_native
 @pytest.mark.parametrize("cls", [CMHeap, CountHeap])
 def test_many_rows_read_alike_on_both_paths(cls):
-    # the Count sketch's median takes rows int32s of scratch from the caller,
+    # the Count sketch's median takes rows int64s of scratch from the caller,
     # so no row count overruns a fixed buffer
     rng = np.random.default_rng(65)
     s = cls(4 * 65 * 32, rows=65, heap_capacity=16, charge_heap=False)
@@ -221,6 +221,33 @@ def test_native_and_python_spacesaving_reads_agree(capacity, flows, picks, data)
         s.slot_counts[i] = data.draw(count)
     native_reads, python_reads = reads_on_both_paths(s, flows)
     assert native_reads == python_reads
+
+
+@needs_native
+def test_count_sketch_counter_at_int32_min_alike_on_both_paths():
+    # the pass never writes -2**31, but counters is a writable int32 array;
+    # times a sign of -1 it is 2**31, which only a 64-bit product holds
+    def make():
+        s = CountHeap(4 * 3 * 8, rows=3, heap_capacity=4, charge_heap=False)
+        s.counters[:] = -2**31
+        return s
+
+    s = make()
+    flows = [0, _U32_MAX, *range(1, 40)]
+    f = next(f for f in flows if all(s._sign(r, f) == -1 for r in range(s.rows)))
+    native_reads, python_reads = reads_on_both_paths(s, flows)
+    assert native_reads == python_reads
+    assert native_reads[0][flows.index(f)] == 2**31
+    for keys in ([f], flows):
+        a, b = make(), make()
+        for k in keys:
+            a.insert(k)
+        b.insert_trace(np.array(keys, dtype=np.uint32))
+        assert state(a) == state(b)
+    assert a.report(1) == b.report(1)
+    a = make()
+    a.insert_trace(np.array([f], dtype=np.uint32))
+    assert a.report(1) == [(f, 2**31)]
 
 
 @needs_native
