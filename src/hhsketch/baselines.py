@@ -4,24 +4,22 @@ All three expose the same surface as the Elastic variants: insert(),
 insert_trace(), query(), report(). Memory accounting is byte-budget based so
 the algorithms can be compared at equal total memory; the top-k heap's nodes
 are charged against the budget by default (configurable). All three keep
-fixed-width state. Space-Saving's insert_trace is one native pass, and
-CMHeap and CountHeap share another; every query() is one call of the
-sketch's native `Reader`. All are in kernels.c with the Elastic pass,
-`native.NATIVE` is that one library, and without it every insert_trace
-loops the scalar insert() and every read is Python's.
+fixed-width state. Each sketch's one native object, its `Kernel`, runs
+Space-Saving's pass or the one CMHeap and CountHeap share, and every
+query(). All are in kernels.c with the Elastic pass, `native.NATIVE` is that
+module, loaded once, and without it every insert_trace loops the Python
+insert rule and every read is Python's.
 """
 
 from __future__ import annotations
 
-import ctypes
 from array import array
 from collections.abc import Mapping
 
 import numpy as np
 
 from . import native
-from .core import HashFamily, check_key, check_threshold, key_array
-from .native import pinned
+from .core import HashFamily, check_key, check_threshold
 
 SS_ENTRY_BYTES = 12     # key + count + overestimation error, 4B each
 HEAP_NODE_BYTES = 8     # key + estimate
@@ -106,6 +104,11 @@ class _KeyTable:
         index), which the budget does not charge."""
         return (len(self.table) + len(self.tix)) * self.table.itemsize
 
+    def _table_args(self) -> tuple:
+        """The keys, tix and table as Kernel buffers (see kernels.c)."""
+        return ((self.keys, 4 * self.capacity), (self.tix, 4 * self.capacity),
+                (self.table, 4 << (32 - self.shift)))
+
 
 class _SlotView(Mapping):
     """Read-only {flow: value} view of one per-slot array of a SpaceSaving
@@ -137,7 +140,7 @@ class _SlotView(Mapping):
         return repr(dict(self.items()))
 
 
-class SpaceSaving(_KeyTable, native.ReaderCache):
+class SpaceSaving(_KeyTable, native.Sketch):
     """Space-Saving table of up to k monitored (flow, count, error) entries
     (Metwally, Agrawal and El Abbadi, ICDT 2005).
 
@@ -152,12 +155,12 @@ class SpaceSaving(_KeyTable, native.ReaderCache):
     key) over the monitored flows, with count c0 + 1 and error c0, and
     sifts down. Keys are distinct, so that order has no ties and any exact
     min-structure on it evicts the same flow. Counts saturate at 2**32 - 1.
-    insert_trace is one native pass (`spacesaving_pass` in kernels.c) over
-    the same arrays by the same rules, or the insert() loop when
-    `native.NATIVE` is None; insert() is the reference both paths must
-    match. query() is one call of the native `Reader`, which probes the
-    same table (`spacesaving_query`), or `_probe` when `native.NATIVE` is
-    None. `counts` and `errors` are read-only {flow: value} views.
+    insert_trace is one call of the native `Kernel`'s `spacesaving_pass`
+    (kernels.c) over the same arrays by the same rules, or the insert()
+    loop when `native.NATIVE` is None; insert() is the reference both paths
+    must match. query() is one call of the Kernel, which probes the same
+    table (`spacesaving_query`), or `_probe` when `native.NATIVE` is None.
+    `counts` and `errors` are read-only {flow: value} views.
     """
 
     def __init__(self, memory_bytes: int):
@@ -176,9 +179,6 @@ class SpaceSaving(_KeyTable, native.ReaderCache):
     @property
     def errors(self) -> Mapping[int, int]:
         return _SlotView(self, self.slot_errors)
-
-    def insert(self, f: int) -> None:
-        self._insert(check_key(f))
 
     def _insert(self, f: int) -> None:
         t = self._probe(f)
@@ -237,31 +237,16 @@ class SpaceSaving(_KeyTable, native.ReaderCache):
             i = child
         self._put(i, key, count, error, t)
 
-    def insert_trace(self, keys: np.ndarray) -> None:
-        """Bulk insert pass, equivalent to insert() per key: one call of the
-        native kernel, or the insert() loop when the kernel is not built."""
-        keys = np.ascontiguousarray(key_array(keys))
-        if native.NATIVE is None:
-            insert = self._insert
-            for f in keys.tolist():
-                insert(f)
-            return
-        nbytes = 4 * self.capacity
-        self.size = native.NATIVE.spacesaving_pass(
-            keys.ctypes.data, keys.size, pinned(self.keys, nbytes),
-            pinned(self.slot_counts, nbytes), pinned(self.slot_errors, nbytes),
-            pinned(self.tix, nbytes), pinned(self.table, 4 << (32 - self.shift)),
-            self.shift, self.capacity, self.size)
+    def _pass(self, kernel, keys: np.ndarray) -> None:
+        self.size = kernel.insert(keys, self.size)
 
-    def _read_args(self) -> tuple:
+    def _kernel_args(self) -> tuple:
         nbytes = 4 * self.capacity
-        return ("spacesaving", ((self.keys, nbytes), (self.slot_counts, nbytes),
-                                (self.table, 4 << (32 - self.shift))), (self.shift,))
+        return ("spacesaving", (*self._table_args(), (self.slot_counts, nbytes),
+                                (self.slot_errors, nbytes)), (self.shift, self.capacity))
 
-    def query(self, f: int) -> int:
-        if native.NATIVE is not None:
-            return (self._reader or self._new_reader())(f)
-        i = self.table[self._probe(check_key(f))] - 1
+    def _query(self, f: int) -> int:
+        i = self.table[self._probe(f)] - 1
         return self.slot_counts[i] if i >= 0 else 0
 
     def report(self, threshold: int) -> list[tuple[int, int]]:
@@ -376,7 +361,7 @@ class _TopKHeap(_KeyTable):
         return i
 
 
-class _SketchHeapBase(native.ReaderCache):
+class _SketchHeapBase(native.Sketch):
     """A linear sketch of `rows` counter rows with a min-heap of the top-k flows.
 
     A packet adds its step to one counter per row and offers its estimate
@@ -385,12 +370,12 @@ class _SketchHeapBase(native.ReaderCache):
     and saturate. A subclass states its counter dtype, its step (`_sign`),
     the saturating add of a step (`_add`), its estimator over the rows'
     signed counters (`_estimate`), and `_COUNT_SKETCH`, which names the same
-    rules to the native kernels in kernels.c: insert_trace is one call of
-    `sketch_heap_pass`, and query() one call of the sketch's native
-    `Reader`, which runs `estimate()`; report() ranks the heap keys'
-    estimates from one `query_array` call. When `native.NATIVE` is None,
-    insert_trace loops insert(), and query() reads through the Python rule;
-    insert() and that query() are the references both paths must match.
+    rules to the native `Kernel` in kernels.c, over the counters and heap:
+    insert_trace is one call of its `sketch_heap_pass`, and query() one of
+    its `estimate()`; report() ranks the heap keys' estimates from one
+    `query_array` call. When `native.NATIVE` is None, insert_trace loops
+    insert(), and query() reads through the Python rule; insert() and that
+    query() are the references both paths must match.
     `seeds` holds the hash rows' seeds as uint64 bytes for the kernels.
     """
 
@@ -416,8 +401,7 @@ class _SketchHeapBase(native.ReaderCache):
         self.counters = np.zeros((rows, width), dtype=self._DTYPE)
         self.heap = _TopKHeap(heap_capacity)
 
-    def insert(self, f: int) -> None:
-        f = check_key(f)
+    def _insert(self, f: int) -> None:
         counters = self.counters
         ests = []
         for r in range(self.rows):
@@ -428,37 +412,17 @@ class _SketchHeapBase(native.ReaderCache):
             ests.append(s * v)
         self.heap.offer(f, self._estimate(ests))
 
-    def insert_trace(self, keys: np.ndarray) -> None:
-        """Bulk insert pass, equivalent to insert() per key: one call of the
-        native kernel, or the insert() loop when the kernel is not built."""
-        keys = np.ascontiguousarray(key_array(keys))
-        if native.NATIVE is None:
-            for f in keys.tolist():
-                self.insert(f)
-            return
+    def _pass(self, kernel, keys: np.ndarray) -> None:
+        self.heap.size = kernel.insert(keys, self.heap.size)
+
+    def _kernel_args(self) -> tuple:
         heap = self.heap
-        # a Count sketch's median takes rows int64s of scratch; the seeds
-        # are immutable bytes, so they need no pin
-        scratch = (ctypes.c_int64 * self.rows)() if self._COUNT_SKETCH else None
-        heap.size = native.NATIVE.sketch_heap_pass(
-            keys.ctypes.data, keys.size, pinned(self.counters, self._counter_bytes()),
-            self.rows, self.width, self.seeds, self._COUNT_SKETCH, scratch,
-            pinned(heap.keys, 4 * heap.capacity),
-            pinned(heap.ests, 4 * heap.capacity), pinned(heap.tix, 4 * heap.capacity),
-            pinned(heap.table, 4 << (32 - heap.shift)), heap.shift, heap.capacity,
-            heap.size)
+        return ("sketch", ((self.counters, self.rows * self.width * COUNTER_BYTES),
+                           (self.seeds, len(self.seeds)), *heap._table_args(),
+                           (heap.ests, 4 * heap.capacity)),
+                (self.rows, self.width, self._COUNT_SKETCH, heap.shift, heap.capacity))
 
-    def _counter_bytes(self) -> int:
-        return self.rows * self.width * COUNTER_BYTES
-
-    def _read_args(self) -> tuple:
-        return ("sketch", ((self.counters, self._counter_bytes()), (self.seeds, len(self.seeds))),
-                (self.rows, self.width, self._COUNT_SKETCH))
-
-    def query(self, f: int) -> int:
-        if native.NATIVE is not None:
-            return (self._reader or self._new_reader())(f)
-        f = check_key(f)
+    def _query(self, f: int) -> int:
         return self._estimate([self._sign(r, f) *
                                self.counters.item(r, self.hash.index(r, f, self.width))
                                for r in range(self.rows)])

@@ -361,6 +361,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "oracle":
             _check_threshold_frac(args.threshold_frac)
+            if args.top < 0:
+                raise ValueError(f"--top must be >= 0; got {args.top}")
             trace = load_trace(args.trace, args.trace_format)
             oracle = Oracle.from_trace(trace)
             threshold = oracle.threshold(args.threshold_frac)

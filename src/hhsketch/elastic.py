@@ -13,26 +13,24 @@ votes to its light part and counts every other miss there. A cell is empty
 exactly when its votes are 0, so every 32-bit key, 0 included, is a flow.
 
 The state is fixed-width, as the memory accounting charges it: ids, votes and
-negative votes are array('I'), flags and light counters bytearrays. The bulk
-pass is one C function that reads the same three constants (`elastic_pass`
-in kernels.c, the one native source, which `native.py` compiles and loads),
-and `query()` one call of the sketch's native `Reader`, which runs
-`elastic_query`; when `native.NATIVE` is None, `insert_trace` loops
-`insert()` and `query()` runs its Python rule, the references both paths
-must match.
+negative votes are array('I'), flags and light counters bytearrays. The
+sketch's one native object, its `Kernel` (kernels.c, which `native.py`
+loads once), holds those buffers and the three constants: `insert_trace` is
+one call of its `elastic_pass`, and `query()` one of its `elastic_query`;
+when `native.NATIVE` is None, `insert_trace` loops the Python insert rule
+and `query()` runs the Python query rule, the references both paths must
+match.
 """
 
 from __future__ import annotations
 
-import ctypes
 from array import array
 from operator import attrgetter
 
 import numpy as np
 
 from . import native
-from .core import HashFamily, check_key, check_threshold, key_array, mix64
-from .native import pinned
+from .core import HashFamily, check_threshold, mix64
 
 _VOTE_MAX = 0xFFFFFFFF
 _LIGHT_MAX = 255
@@ -53,7 +51,7 @@ def bucket_footprint(cells_per_bucket: int) -> int:
     return 64 if cells_per_bucket == 7 else cells_per_bucket * 8 + 4
 
 
-class _ElasticBucket(native.ReaderCache):
+class _ElasticBucket(native.Sketch):
     """The heavy part and the full-bucket rule; hash row 0 picks the bucket.
 
     Cells fill left to right and are never vacated. An occupied cell holds at
@@ -109,9 +107,8 @@ class _ElasticBucket(native.ReaderCache):
         # hash.index(1, f, light_size), without its checks: f is a checked key
         return mix64(self.hash.row_seeds[1] ^ f) % self.light_size
 
-    def insert(self, f: int) -> str:
+    def _insert(self, f: int) -> str:
         """Insert one packet; returns "hit", "empty_insert" or `_full`'s outcome."""
-        f = check_key(f)
         b = self.bucket_of(f)
         base = b * self.cells_per_bucket
         ids = self.ids
@@ -169,25 +166,8 @@ class _ElasticBucket(native.ReaderCache):
             amount = _LIGHT_MAX - cur
         self.light[li] = cur + amount
 
-    def insert_trace(self, keys: np.ndarray) -> None:
-        """Bulk insert pass, equivalent to insert() per key: one call of the
-        native kernel, or the insert() loop when the kernel is not built."""
-        keys = np.ascontiguousarray(key_array(keys))
-        if native.NATIVE is None:
-            for f in keys.tolist():
-                self.insert(f)
-            return
-        cells = self.bucket_count * self.cells_per_bucket
-        flags = pinned(self.flags, cells) if self.RESET else None
-        light = (None, 0, 0) if self.light is None else (
-            pinned(self.light, self.light_size), self.hash.row_seeds[1], self.light_size)
-        tallies = (ctypes.c_uint64 * 5)()
-        native.NATIVE.elastic_pass(
-            keys.ctypes.data, keys.size, pinned(self.ids, 4 * cells), pinned(self.votes, 4 * cells),
-            pinned(self.vote_minus, 4 * self.bucket_count), self.hash.row_seeds[0],
-            self.bucket_count, self.cells_per_bucket, self.lam, self.INCLUSIVE, self.RESET,
-            flags, *light, tallies)
-        hits, empty_inserts, wins, losses, clipped = tallies
+    def _pass(self, kernel, keys: np.ndarray) -> None:
+        hits, empty_inserts, wins, losses, clipped = kernel.insert(keys, 0)
         self.hits += hits
         self.empty_inserts += empty_inserts
         self.wins += wins
@@ -195,13 +175,15 @@ class _ElasticBucket(native.ReaderCache):
         if clipped:
             self.light_clipped = True
 
-    def _read_args(self) -> tuple:
+    def _kernel_args(self) -> tuple:
         cells = self.bucket_count * self.cells_per_bucket
         flags = (self.flags, cells) if self.RESET else (None, 0)
         light, *light_params = ((None, 0), 0, 0) if self.light is None else (
             (self.light, self.light_size), self.hash.row_seeds[1], self.light_size)
-        return ("elastic", ((self.ids, 4 * cells), (self.votes, 4 * cells), flags, light),
-                (self.hash.row_seeds[0], self.bucket_count, self.cells_per_bucket, *light_params))
+        return ("elastic", ((self.ids, 4 * cells), (self.votes, 4 * cells),
+                            (self.vote_minus, 4 * self.bucket_count), flags, light),
+                (self.hash.row_seeds[0], self.bucket_count, self.cells_per_bucket, self.lam,
+                 self.INCLUSIVE, self.RESET, *light_params))
 
     def _cell(self, f: int) -> int:
         """Index of f's cell, or -1 when f is not resident."""
@@ -215,15 +197,10 @@ class _ElasticBucket(native.ReaderCache):
                 return i
         return -1
 
-    def query(self, f: int) -> int:
+    def _query(self, f: int) -> int:
         """Estimated size of flow f: its cell's votes (0 when f is not
         resident), plus its light counter when f is not resident or its
-        cell is flagged, as then the light part may hold its counts. One
-        call of the sketch's native Reader, or this Python rule when the
-        kernels are not built."""
-        if native.NATIVE is not None:
-            return (self._reader or self._new_reader())(f)
-        f = check_key(f)
+        cell is flagged, as then the light part may hold its counts."""
         i = self._cell(f)
         est = self.votes[i] if i >= 0 else 0
         if self.light is not None and (i < 0 or self.RESET and self.flags[i]):

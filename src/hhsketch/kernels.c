@@ -1,27 +1,26 @@
-/* The native passes and reads of all five sketches (see native.py).
+/* The native passes and reads of all five sketches: one extension module
+   (see native.py) holding one type, Kernel (at the end of this file).  A
+   sketch builds one Kernel over its buffers and scalar parameters, and
+   every native call of the sketch goes through it.
 
-   Each insert pass feeds n keys through one sketch's buffers in place and
-   runs that sketch's scalar insert() per key:
+   kernel.insert() runs the sketch's insert pass, which feeds a batch of
+   keys through the buffers in place, as the sketch's scalar insert() per
+   key, without the GIL:
 
      elastic_pass           ElasticHH and ElasticStd (elastic.py)
      sketch_heap_pass       CMHeap and CountHeap (baselines.py)
      spacesaving_pass       SpaceSaving (baselines.py)
 
-   native.py calls them through ctypes, without the GIL.
-
-   Every read is a call of one extension type, Reader (at the end of this
-   file), built once per sketch over its buffers and scalar parameters.  It
-   runs the sketch's query() rule on one key, or on each key of a batch:
+   A call of the Kernel reads one key, and read_into() each key of a batch,
+   by the sketch's query() rule, holding the GIL, which keeps the reads'
+   one Count-sketch scratch to one reader at a time:
 
      elastic_query          ElasticHH and ElasticStd
      estimate               CMHeap and CountHeap
      spacesaving_query      SpaceSaving
 
-   A Reader is CPython C-API code, so each call holds the GIL, which keeps
-   its one Count-sketch scratch to one reader at a time.
-
-   mix64() is core.mix64, and a hash row's index is mix64(row_seed ^ key) %
-   range, as in core.HashFamily. */
+   mix64(), a module function for the tests, is core.mix64, and a hash
+   row's index is mix64(row_seed ^ key) % range, as in core.HashFamily. */
 
 /* Python.h comes first, as the C API requires */
 #define PY_SSIZE_T_CLEAN
@@ -37,13 +36,6 @@ static inline uint64_t mix(uint64_t x)
     x *= 0xC4CEB9FE1A85EC53ull;
     x ^= x >> 33;
     return x;
-}
-
-/* Exported for the tests; the passes call mix(), which the compiler can
-   inline (an exported function of a shared library cannot be). */
-uint64_t mix64(uint64_t x)
-{
-    return mix(x);
 }
 
 /* ---- The key->slot table of the top-k heap and of Space-Saving
@@ -165,12 +157,12 @@ static inline int scan(const uint32_t *id, const uint32_t *v, size_t cells, uint
     return FULL;
 }
 
-void elastic_pass(const uint32_t *keys, size_t n,
-                  uint32_t *ids, uint32_t *votes, uint32_t *vote_minus,
-                  uint64_t bucket_seed, uint64_t bucket_count, size_t cells,
-                  double lam, int inclusive, int reset, uint8_t *flags,
-                  uint8_t *light, uint64_t light_seed, uint64_t light_size,
-                  uint64_t *tallies)
+static void elastic_pass(const uint32_t *keys, size_t n,
+                         uint32_t *ids, uint32_t *votes, uint32_t *vote_minus,
+                         uint64_t bucket_seed, uint64_t bucket_count, size_t cells,
+                         double lam, int inclusive, int reset, uint8_t *flags,
+                         uint8_t *light, uint64_t light_seed, uint64_t light_size,
+                         uint64_t *tallies)
 {
     uint64_t hits = 0, empties = 0, wins = 0, losses = 0, clipped = 0;
     uint64_t ahead[AHEAD]; /* the buckets of the next AHEAD keys */
@@ -231,20 +223,22 @@ void elastic_pass(const uint32_t *keys, size_t n,
     tallies[4] = clipped;
 }
 
-/* An Elastic sketch's read arguments: flags is NULL without RESET, and
-   light NULL without a light part. */
+/* An Elastic sketch's Kernel arguments, those of elastic_pass(): flags is
+   NULL without RESET, and light NULL without a light part. */
 typedef struct {
-    const uint32_t *ids, *votes;
-    const uint8_t *flags, *light;
-    uint64_t bucket_seed, bucket_count;
-    size_t cells;
-    uint64_t light_seed, light_size;
-} elastic_view_t;
+    uint32_t *ids, *votes, *vote_minus;
+    uint8_t *flags, *light;
+    unsigned long long bucket_seed, bucket_count;
+    Py_ssize_t cells;
+    double lam;
+    int inclusive, reset;
+    unsigned long long light_seed, light_size;
+} elastic_args_t;
 
 /* _ElasticBucket.query(): the votes of f's cell, found by insert()'s scan,
    plus f's light counter when f is not resident or its cell is flagged.
    A flow can hold 2**32 - 1 votes and 255 light counts, hence 64 bits. */
-static uint64_t elastic_query(const elastic_view_t *ev, uint32_t f)
+static uint64_t elastic_query(const elastic_args_t *ev, uint32_t f)
 {
     uint64_t base = mix(ev->bucket_seed ^ f) % ev->bucket_count * ev->cells;
     size_t i;
@@ -393,11 +387,11 @@ static inline uint32_t upper_median(int64_t *v, size_t rows)
     return v[rows / 2] > 0 ? (uint32_t)v[rows / 2] : 0;
 }
 
-size_t sketch_heap_pass(const uint32_t *keys, size_t n, void *counters, size_t rows,
-                        uint64_t width, const uint64_t *seeds, int count_sketch,
-                        int64_t *scratch, uint32_t *heap_keys, uint32_t *heap_ests,
-                        uint32_t *tix, uint32_t *table, unsigned shift, size_t capacity,
-                        size_t size)
+static size_t sketch_heap_pass(const uint32_t *keys, size_t n, void *counters, size_t rows,
+                               uint64_t width, const uint64_t *seeds, int count_sketch,
+                               int64_t *scratch, uint32_t *heap_keys, uint32_t *heap_ests,
+                               uint32_t *tix, uint32_t *table, unsigned shift,
+                               size_t capacity, size_t size)
 {
     heap_t h = {keytab(heap_keys, tix, table, shift), heap_ests, size, capacity};
 
@@ -448,15 +442,18 @@ static inline uint32_t estimate(uint32_t f, const void *counters, size_t rows, u
     return est;
 }
 
-/* A CMHeap's or CountHeap's read arguments: those of estimate(). */
+/* A CMHeap's or CountHeap's Kernel arguments, those of sketch_heap_pass()
+   but its scratch and the heap's size: the counters, and the heap's key
+   table with ests. */
 typedef struct {
-    const void *counters;
-    size_t rows;
-    uint64_t width;
+    void *counters;
+    Py_ssize_t rows;
+    unsigned long long width;
     const uint64_t *seeds;
     int count_sketch;
-    int64_t *scratch;
-} sketch_view_t;
+    keytab_t kt;
+    uint32_t *ests;
+} sketch_args_t;
 
 /* ---- The Space-Saving pass (see baselines.py).
 
@@ -545,9 +542,9 @@ static void ss_sift_down(ss_t *s, size_t i, uint32_t key, uint32_t count, uint32
     put(s, i, key, count, error, t);
 }
 
-size_t spacesaving_pass(const uint32_t *keys, size_t n, uint32_t *ss_keys, uint32_t *counts,
-                        uint32_t *errors, uint32_t *tix, uint32_t *table, unsigned shift,
-                        size_t capacity, size_t size)
+static size_t spacesaving_pass(const uint32_t *keys, size_t n, uint32_t *ss_keys,
+                               uint32_t *counts, uint32_t *errors, uint32_t *tix,
+                               uint32_t *table, unsigned shift, size_t capacity, size_t size)
 {
     ss_t s = {keytab(ss_keys, tix, table, shift), counts, errors, size};
 
@@ -569,79 +566,86 @@ size_t spacesaving_pass(const uint32_t *keys, size_t n, uint32_t *ss_keys, uint3
     return s.size;
 }
 
-/* SpaceSaving.query()'s read arguments: the key table (its tix is not read)
-   and counts, by slot. */
+/* A SpaceSaving's Kernel arguments, those of spacesaving_pass() but the
+   size: the key table, with counts and errors by slot. */
 typedef struct {
     keytab_t kt;
-    const uint32_t *counts;
-} ss_view_t;
+    uint32_t *counts, *errors;
+} ss_args_t;
 
 /* SpaceSaving.query(): the count of f's slot, found by the pass's probe,
    or 0 when f is not monitored. */
-static uint32_t spacesaving_query(const ss_view_t *sv, uint32_t f)
+static uint32_t spacesaving_query(const ss_args_t *sv, uint32_t f)
 {
     uint32_t s = sv->kt.table[probe(&sv->kt, f)];
     return s ? sv->counts[s - 1] : 0;
 }
 
-/* ---- Reader, the one extension type: every read (see native.py).
+/* ---- Kernel, the one extension type: every native call (see native.py).
 
-   Reader(check_key, rule, buffers, params) is built once per sketch; rule
-   names the read, and buffers and params hold its arguments:
+   Kernel(check_key, rule, buffers, params) is built once per sketch; rule
+   names the sketch's pass and read, and buffers and params hold their
+   arguments:
 
-     "elastic"      (ids, votes, flags, light)
-                    (bucket_seed, bucket_count, cells, light_seed, light_size)
-     "sketch"       (counters, seeds)
-                    (rows, width, count_sketch)
-     "spacesaving"  (keys, counts, table)
-                    (shift,)
+     "elastic"      (ids, votes, vote_minus, flags, light)
+                    (bucket_seed, bucket_count, cells, lam, inclusive, reset,
+                     light_seed, light_size)
+     "sketch"       (counters, seeds, keys, tix, table, ests)
+                    (rows, width, count_sketch, shift, capacity)
+     "spacesaving"  (keys, tix, table, counts, errors)
+                    (shift, capacity)
 
    A buffer is a pair (object, nbytes): the object must export exactly
-   nbytes, and None is a NULL pointer (an Elastic sketch without flags or
-   light part).  The Reader holds the exports for its life, so a resize of
-   a buffer raises BufferError (numpy: ValueError) instead of moving memory
-   it reads.
+   nbytes, writable but for the seeds, and None is a NULL pointer (an
+   Elastic sketch without flags or light part).  The Kernel holds the
+   exports for its life, so a resize of a buffer raises BufferError (numpy:
+   ValueError) instead of moving memory it reads or writes.
 
-   reader(key) returns one key's estimate, and reader.read_into(keys, out)
+   kernel.insert(keys, size) runs the pass over the uint32 keys without the
+   GIL, from size, the heap's or table's current size (0 for an Elastic
+   sketch), and returns the Elastic tallies (hits, empty inserts, wins,
+   losses, clipped), else the new size.  A Count sketch's pass takes
+   scratch of its own per call, as reads may run meanwhile.
+
+   kernel(key) returns one key's estimate, and kernel.read_into(keys, out)
    writes the estimate of each uint32 key to out, as uint64 for an Elastic
    sketch and uint32 otherwise.  An exact int key in [0, 2**32) converts
    here; any other key goes to check_key (core.check_key), which returns
    such an int or raises ValueError, so the key rule stays in one place. */
 
-enum { ELASTIC, SKETCH, SPACESAVING, RULES, MAX_PINS = 4, MAX_PARAMS = 5 };
+enum { ELASTIC, SKETCH, SPACESAVING, RULES, MAX_PINS = 6 };
 
 static const char *const rule_names[RULES] = {"elastic", "sketch", "spacesaving"};
-static const Py_ssize_t rule_pins[RULES] = {4, 2, 3}, rule_params[RULES] = {5, 3, 1};
+static const Py_ssize_t rule_pins[RULES] = {5, 6, 5};
+/* the pins the pass only reads: a sketch's seeds, which are bytes */
+static const unsigned rule_read_only[RULES] = {0, 1u << 1, 0};
 
-typedef struct reader {
+typedef struct {
     PyObject_HEAD
     vectorcallfunc call;
-    uint64_t (*read)(const struct reader *, uint32_t);
-    size_t out_size; /* bytes of one estimate in read_into's out */
+    int rule;
+    Py_ssize_t capacity; /* the slots of the heap or table; 0 for an Elastic sketch */
     PyObject *check_key;
     Py_buffer pins[MAX_PINS];
-    int64_t *scratch; /* a Count sketch's rows int64s */
+    int64_t *scratch; /* the reads' Count-sketch scratch: rows int64s */
     union {
-        elastic_view_t elastic;
-        sketch_view_t sketch;
-        ss_view_t ss;
+        elastic_args_t elastic;
+        sketch_args_t sketch;
+        ss_args_t ss;
     } v;
-} reader_t;
+} kernel_t;
 
-static uint64_t read_elastic(const reader_t *r, uint32_t f)
+static uint64_t read_key(const kernel_t *r, uint32_t f)
 {
-    return elastic_query(&r->v.elastic, f);
-}
-
-static uint64_t read_sketch(const reader_t *r, uint32_t f)
-{
-    const sketch_view_t *s = &r->v.sketch;
-    return estimate(f, s->counters, s->rows, s->width, s->seeds, s->count_sketch, s->scratch);
-}
-
-static uint64_t read_spacesaving(const reader_t *r, uint32_t f)
-{
-    return spacesaving_query(&r->v.ss, f);
+    const sketch_args_t *s = &r->v.sketch;
+    switch (r->rule) {
+    case ELASTIC:
+        return elastic_query(&r->v.elastic, f);
+    case SKETCH:
+        return estimate(f, s->counters, s->rows, s->width, s->seeds, s->count_sketch, r->scratch);
+    default:
+        return spacesaving_query(&r->v.ss, f);
+    }
 }
 
 /* 1 with *f = k when k is an exact int in [0, 2**32), else 0. */
@@ -659,7 +663,7 @@ static int exact_key(PyObject *k, uint32_t *f)
 }
 
 /* 0 with *f = the flow key k, else -1 with check_key's ValueError set. */
-static int flow_key(const reader_t *r, PyObject *k, uint32_t *f)
+static int flow_key(const kernel_t *r, PyObject *k, uint32_t *f)
 {
     if (exact_key(k, f))
         return 0;
@@ -673,23 +677,74 @@ static int flow_key(const reader_t *r, PyObject *k, uint32_t *f)
     return ok ? 0 : -1;
 }
 
-static PyObject *reader_call(PyObject *self, PyObject *const *args, size_t nargsf,
+static PyObject *kernel_call(PyObject *self, PyObject *const *args, size_t nargsf,
                              PyObject *kwnames)
 {
-    const reader_t *r = (const reader_t *)self;
+    const kernel_t *r = (const kernel_t *)self;
     uint32_t f;
     if (PyVectorcall_NARGS(nargsf) != 1 || (kwnames && PyTuple_GET_SIZE(kwnames))) {
-        PyErr_SetString(PyExc_TypeError, "a Reader takes one key");
+        PyErr_SetString(PyExc_TypeError, "a Kernel takes one key");
         return NULL;
     }
     if (flow_key(r, args[0], &f) < 0)
         return NULL;
-    return PyLong_FromUnsignedLongLong(r->read(r, f));
+    return PyLong_FromUnsignedLongLong(read_key(r, f));
 }
 
-static PyObject *reader_read_into(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+static PyObject *kernel_insert(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    const reader_t *r = (const reader_t *)self;
+    const kernel_t *r = (const kernel_t *)self;
+    uint64_t t[5] = {0};
+    Py_buffer keys;
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "insert takes keys and a size");
+        return NULL;
+    }
+    Py_ssize_t size = PyLong_AsSsize_t(args[1]);
+    if (size < 0 || size > r->capacity) {
+        if (!PyErr_Occurred())
+            PyErr_Format(PyExc_ValueError, "size %zd is outside [0, %zd]", size, r->capacity);
+        return NULL;
+    }
+    int64_t *scratch = r->rule == SKETCH ? PyMem_New(int64_t, r->v.sketch.rows) : NULL;
+    if (r->rule == SKETCH && scratch == NULL)
+        return PyErr_NoMemory();
+    if (PyObject_GetBuffer(args[0], &keys, PyBUF_SIMPLE) < 0) {
+        PyMem_Free(scratch);
+        return NULL;
+    }
+    const uint32_t *k = keys.buf;
+    size_t n = (size_t)keys.len / sizeof(uint32_t);
+    Py_BEGIN_ALLOW_THREADS
+    if (r->rule == ELASTIC) {
+        const elastic_args_t *e = &r->v.elastic;
+        elastic_pass(k, n, e->ids, e->votes, e->vote_minus, e->bucket_seed, e->bucket_count,
+                     e->cells, e->lam, e->inclusive, e->reset, e->flags, e->light,
+                     e->light_seed, e->light_size, t);
+    } else if (r->rule == SKETCH) {
+        const sketch_args_t *s = &r->v.sketch;
+        size = sketch_heap_pass(k, n, s->counters, s->rows, s->width, s->seeds, s->count_sketch,
+                                scratch, s->kt.keys, s->ests, s->kt.tix, s->kt.table,
+                                s->kt.shift, r->capacity, size);
+    } else {
+        const ss_args_t *s = &r->v.ss;
+        size = spacesaving_pass(k, n, s->kt.keys, s->counts, s->errors, s->kt.tix, s->kt.table,
+                                s->kt.shift, r->capacity, size);
+    }
+    Py_END_ALLOW_THREADS
+    PyBuffer_Release(&keys);
+    PyMem_Free(scratch);
+    if (r->rule != ELASTIC)
+        return PyLong_FromSsize_t(size);
+    return Py_BuildValue("(KKKKK)", (unsigned long long)t[0], (unsigned long long)t[1],
+                         (unsigned long long)t[2], (unsigned long long)t[3],
+                         (unsigned long long)t[4]);
+}
+
+static PyObject *kernel_read_into(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    const kernel_t *r = (const kernel_t *)self;
+    size_t out_size = r->rule == ELASTIC ? sizeof(uint64_t) : sizeof(uint32_t);
     Py_buffer keys, out;
     PyObject *done = NULL;
     if (nargs != 2) {
@@ -703,17 +758,17 @@ static PyObject *reader_read_into(PyObject *self, PyObject *const *args, Py_ssiz
         return NULL;
     }
     size_t n = (size_t)keys.len / sizeof(uint32_t);
-    if (keys.len % sizeof(uint32_t) || (size_t)out.len != n * r->out_size) {
+    if (keys.len % sizeof(uint32_t) || (size_t)out.len != n * out_size) {
         PyErr_Format(PyExc_ValueError, "read_into: %zd bytes of uint32 keys, %zd bytes of "
-                     "out for %zu-byte estimates", keys.len, out.len, r->out_size);
+                     "out for %zu-byte estimates", keys.len, out.len, out_size);
     } else {
         const uint32_t *k = keys.buf;
-        if (r->out_size == sizeof(uint64_t))
+        if (out_size == sizeof(uint64_t))
             for (size_t i = 0; i < n; i++)
-                ((uint64_t *)out.buf)[i] = r->read(r, k[i]);
+                ((uint64_t *)out.buf)[i] = read_key(r, k[i]);
         else
             for (size_t i = 0; i < n; i++)
-                ((uint32_t *)out.buf)[i] = (uint32_t)r->read(r, k[i]);
+                ((uint32_t *)out.buf)[i] = (uint32_t)read_key(r, k[i]);
         done = Py_NewRef(Py_None);
     }
     PyBuffer_Release(&out);
@@ -721,10 +776,10 @@ static PyObject *reader_read_into(PyObject *self, PyObject *const *args, Py_ssiz
     return done;
 }
 
-/* 0 with *buf the bytes of the pair (obj, nbytes), exported into *view
-   after checking that obj holds exactly nbytes, or NULL for None; else -1
-   with an exception set. */
-static int pin(PyObject *pair, Py_buffer *view, const void **buf)
+/* 0 with *buf the bytes of the pair (obj, nbytes), exported into *view,
+   writable unless read_only, after checking that obj holds exactly nbytes,
+   or NULL for None; else -1 with an exception set. */
+static int pin(PyObject *pair, Py_buffer *view, void **buf, int read_only)
 {
     PyObject *obj;
     Py_ssize_t nbytes;
@@ -733,7 +788,7 @@ static int pin(PyObject *pair, Py_buffer *view, const void **buf)
         return -1;
     if (obj == Py_None)
         return 0;
-    if (PyObject_GetBuffer(obj, view, PyBUF_SIMPLE) < 0)
+    if (PyObject_GetBuffer(obj, view, read_only ? PyBUF_SIMPLE : PyBUF_WRITABLE) < 0)
         return -1;
     if (view->len != nbytes) {
         PyErr_Format(PyExc_ValueError, "a sketch buffer holds %zd bytes, expected %zd",
@@ -745,9 +800,9 @@ static int pin(PyObject *pair, Py_buffer *view, const void **buf)
     return 0;
 }
 
-static void reader_dealloc(PyObject *self)
+static void kernel_dealloc(PyObject *self)
 {
-    reader_t *r = (reader_t *)self;
+    kernel_t *r = (kernel_t *)self;
     for (int i = 0; i < MAX_PINS; i++)
         PyBuffer_Release(&r->pins[i]);
     PyMem_Free(r->scratch);
@@ -755,69 +810,59 @@ static void reader_dealloc(PyObject *self)
     Py_TYPE(self)->tp_free(self);
 }
 
-static PyObject *reader_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+static PyObject *kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"check_key", "rule", "buffers", "params", NULL};
     PyObject *check_key, *buffers, *params;
     const char *name;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OsO!O!:Reader", kwlist, &check_key, &name,
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OsO!O!:Kernel", kwlist, &check_key, &name,
                                      &PyTuple_Type, &buffers, &PyTuple_Type, &params))
         return NULL;
     int rule = 0;
     while (rule < RULES && strcmp(name, rule_names[rule]))
         rule++;
-    if (rule == RULES) {
-        PyErr_Format(PyExc_ValueError, "no read rule %s", name);
+    if (rule == RULES || PyTuple_GET_SIZE(buffers) != rule_pins[rule]) {
+        PyErr_Format(PyExc_ValueError, "no %s kernel takes %zd buffers", name,
+                     PyTuple_GET_SIZE(buffers));
         return NULL;
-    }
-    if (PyTuple_GET_SIZE(buffers) != rule_pins[rule] ||
-        PyTuple_GET_SIZE(params) != rule_params[rule]) {
-        PyErr_Format(PyExc_ValueError, "the %s read takes %zd buffers and %zd parameters",
-                     name, rule_pins[rule], rule_params[rule]);
-        return NULL;
-    }
-    unsigned long long p[MAX_PARAMS];
-    for (Py_ssize_t i = 0; i < rule_params[rule]; i++) {
-        p[i] = PyLong_AsUnsignedLongLong(PyTuple_GET_ITEM(params, i));
-        if (p[i] == (unsigned long long)-1 && PyErr_Occurred())
-            return NULL;
     }
 
-    reader_t *r = (reader_t *)type->tp_alloc(type, 0);
+    kernel_t *r = (kernel_t *)type->tp_alloc(type, 0);
     if (r == NULL)
         return NULL;
-    r->call = reader_call;
+    r->call = kernel_call;
+    r->rule = rule;
     r->check_key = Py_NewRef(check_key);
-    const void *b[MAX_PINS];
+    void *b[MAX_PINS];
     for (Py_ssize_t i = 0; i < rule_pins[rule]; i++)
-        if (pin(PyTuple_GET_ITEM(buffers, i), &r->pins[i], &b[i]) < 0)
+        if (pin(PyTuple_GET_ITEM(buffers, i), &r->pins[i], &b[i],
+                rule_read_only[rule] >> i & 1) < 0)
             goto fail;
-    r->out_size = sizeof(uint32_t);
-    switch (rule) {
-    case ELASTIC: {
-        elastic_view_t ev = {b[0], b[1], b[2], b[3], p[0], p[1], p[2], p[3], p[4]};
-        r->v.elastic = ev;
-        r->read = read_elastic;
-        r->out_size = sizeof(uint64_t);
-        break;
-    }
-    case SKETCH: {
-        r->scratch = PyMem_New(int64_t, p[0]);
-        if (r->scratch == NULL) {
+    /* the params parse straight into the arguments, typed as the codes say */
+    unsigned shift;
+    if (rule == ELASTIC) {
+        elastic_args_t *e = &r->v.elastic;
+        *e = (elastic_args_t){.ids = b[0], .votes = b[1], .vote_minus = b[2], .flags = b[3],
+                              .light = b[4]};
+        if (!PyArg_ParseTuple(params, "KKndppKK:elastic", &e->bucket_seed, &e->bucket_count,
+                              &e->cells, &e->lam, &e->inclusive, &e->reset, &e->light_seed,
+                              &e->light_size))
+            goto fail;
+    } else if (rule == SKETCH) {
+        sketch_args_t *s = &r->v.sketch;
+        *s = (sketch_args_t){.counters = b[0], .seeds = b[1], .ests = b[5]};
+        if (!PyArg_ParseTuple(params, "nKpIn:sketch", &s->rows, &s->width, &s->count_sketch,
+                              &shift, &r->capacity))
+            goto fail;
+        s->kt = keytab(b[2], b[3], b[4], shift);
+        if ((r->scratch = PyMem_New(int64_t, s->rows)) == NULL) {
             PyErr_NoMemory();
             goto fail;
         }
-        sketch_view_t sv = {b[0], p[0], p[1], b[1], p[2] != 0, r->scratch};
-        r->v.sketch = sv;
-        r->read = read_sketch;
-        break;
-    }
-    case SPACESAVING: {
-        ss_view_t sv = {keytab((uint32_t *)b[0], NULL, (uint32_t *)b[2], (unsigned)p[0]), b[1]};
-        r->v.ss = sv;
-        r->read = read_spacesaving;
-        break;
-    }
+    } else {
+        if (!PyArg_ParseTuple(params, "In:spacesaving", &shift, &r->capacity))
+            goto fail;
+        r->v.ss = (ss_args_t){keytab(b[0], b[1], b[2], shift), b[3], b[4]};
     }
     return (PyObject *)r;
 
@@ -826,39 +871,57 @@ fail:
     return NULL;
 }
 
-static PyMethodDef reader_methods[] = {
-    {"read_into", (PyCFunction)(void (*)(void))reader_read_into, METH_FASTCALL,
+static PyMethodDef kernel_methods[] = {
+    {"insert", (PyCFunction)(void (*)(void))kernel_insert, METH_FASTCALL,
+     "insert(keys, size): the insert pass over the uint32 keys, without the GIL"},
+    {"read_into", (PyCFunction)(void (*)(void))kernel_read_into, METH_FASTCALL,
      "read_into(keys, out): the estimate of each uint32 key, written to out"},
     {NULL, NULL, 0, NULL},
 };
 
-static PyTypeObject reader_type = {
+static PyTypeObject kernel_type = {
     PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "hhsketch.kernels.Reader",
-    .tp_basicsize = sizeof(reader_t),
-    .tp_dealloc = reader_dealloc,
-    .tp_vectorcall_offset = offsetof(reader_t, call),
+    .tp_name = "hhsketch.kernels.Kernel",
+    .tp_basicsize = sizeof(kernel_t),
+    .tp_dealloc = kernel_dealloc,
+    .tp_vectorcall_offset = offsetof(kernel_t, call),
     .tp_call = PyVectorcall_Call,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_VECTORCALL,
-    .tp_doc = "Reader(check_key, rule, buffers, params): one sketch's query(), "
-              "called with one key",
-    .tp_methods = reader_methods,
-    .tp_new = reader_new,
+    .tp_doc = "Kernel(check_key, rule, buffers, params): one sketch's insert pass and "
+              "query(), called with one key",
+    .tp_methods = kernel_methods,
+    .tp_new = kernel_new,
+};
+
+/* core.mix64, for the tests; the passes call mix(), which inlines. */
+static PyObject *mix64(PyObject *module, PyObject *x)
+{
+    unsigned long long v = PyLong_AsUnsignedLongLong(x);
+    (void)module;
+    if (v == (unsigned long long)-1 && PyErr_Occurred())
+        return NULL;
+    return PyLong_FromUnsignedLongLong(mix(v));
+}
+
+static PyMethodDef kernels_functions[] = {
+    {"mix64", mix64, METH_O, "mix64(x): core.mix64"},
+    {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernels_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "kernels",
-    .m_doc = "The native reads of every sketch: one Reader per sketch.",
+    .m_doc = "The native passes and reads of every sketch: one Kernel per sketch.",
     .m_size = -1,
+    .m_methods = kernels_functions,
 };
 
 PyMODINIT_FUNC PyInit_kernels(void)
 {
-    if (PyType_Ready(&reader_type) < 0)
+    if (PyType_Ready(&kernel_type) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&kernels_module);
-    if (m != NULL && PyModule_AddObjectRef(m, "Reader", (PyObject *)&reader_type) < 0)
+    if (m != NULL && PyModule_AddObjectRef(m, "Kernel", (PyObject *)&kernel_type) < 0)
         Py_CLEAR(m);
     return m;
 }

@@ -342,6 +342,18 @@ class TestCli:
         assert "threshold_frac must be > 0 and finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("top", ["-1", "-2"])
+    def test_oracle_rejects_a_negative_top(self, zero_and_max_trace, top, capsys):
+        # a negative --top would slice off the last flows instead of failing
+        assert main(["oracle", "--trace", str(zero_and_max_trace), "--top", top]) == 1
+        captured = capsys.readouterr()
+        assert f"error: --top must be >= 0; got {top}" in captured.err
+        assert captured.out == ""
+
+    def test_oracle_top_zero_prints_the_summary_alone(self, zero_and_max_trace, capsys):
+        assert main(["oracle", "--trace", str(zero_and_max_trace), "--top", "0"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
     def test_bad_trace_path_exits_nonzero(self, capsys):
         assert main(["oracle", "--trace", "/nonexistent/file.bin"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -187,26 +187,6 @@ def test_native_pass_refuses_a_resized_buffer(cls, buffer):
         s.insert_trace(np.array([1, 2], dtype=np.uint32))
 
 
-def test_pinned_buffer_cannot_be_resized_during_the_call():
-    # the kernel runs without the GIL, so another thread must not be able to
-    # move a buffer it writes
-    buf = array("I", [0, 0])
-    arg = native.pinned(buf, 8)
-    with pytest.raises(BufferError):
-        buf.append(0)
-    del arg
-    buf.append(0)
-
-
-@pytest.mark.parametrize("empty", [np.empty(0, np.uint32), bytearray(), array("I")],
-                         ids=["numpy", "bytearray", "array"])
-def test_an_empty_buffer_pins_as_a_null_pointer(empty):
-    # so a kernel call over a possibly empty buffer needs no guard of its own
-    assert native.pinned(empty, 0) is None
-    with pytest.raises(ValueError, match="sketch buffer"):
-        native.pinned(empty, 4)
-
-
 @pytest.mark.parametrize("compiler", [("false",), ("no-such-compiler",)])
 def test_failed_build_falls_back_with_one_warning(compiler, tmp_path, monkeypatch):
     monkeypatch.setattr(native, "_CC", compiler)
@@ -219,7 +199,7 @@ def test_failed_build_falls_back_with_one_warning(compiler, tmp_path, monkeypatc
 
 
 def test_missing_python_headers_fall_back_with_one_warning(tmp_path, monkeypatch):
-    # the Reader is C-API code, so a build needs this interpreter's Python.h
+    # the Kernel is C-API code, so a build needs this interpreter's Python.h
     monkeypatch.setattr(native, "_INCLUDE", str(tmp_path / "no-include"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

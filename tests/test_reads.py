@@ -1,14 +1,15 @@
 """Differential tests for the read path: every sketch's report() against a
 reference built from its scalar query(), and query_array() against query(),
 on both paths; the native reads against their Python rule; the key rule of
-query() on both paths; and the life of the native Reader those reads go
-through."""
+query() on both paths; and the life of the native Kernel those reads and
+the insert passes go through."""
 
-import ctypes
 import pickle
 import sys
 import threading
 from enum import IntEnum
+from operator import attrgetter
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -261,15 +262,16 @@ def test_flagged_full_cell_reads_above_32_bits_on_both_paths():
     assert native_reads[0] == [_U32_MAX + 255]
 
 
-# every sketch, whose reads go through a native Reader, and the buffers it pins
+# every sketch, whose passes and reads go through a native Kernel, and the
+# buffers it pins
+_HEAP = ["counters", "heap.keys", "heap.ests", "heap.tix", "heap.table"]
 VIEWED = {
-    "elastic_hh": (lambda: ElasticHH(1024), ["ids", "votes"]),
-    "elastic": (lambda: ElasticStd(1024), ["ids", "votes", "flags", "light"]),
-    "spacesaving": (lambda: SpaceSaving(600), ["keys", "slot_counts", "table"]),
-    "cmheap": (lambda: CMHeap(2048, rows=3, heap_capacity=32, charge_heap=False),
-               ["counters"]),
-    "countheap": (lambda: CountHeap(2048, rows=4, heap_capacity=32, charge_heap=False),
-                  ["counters"]),
+    "elastic_hh": (lambda: ElasticHH(1024), ["ids", "votes", "vote_minus"]),
+    "elastic": (lambda: ElasticStd(1024), ["ids", "votes", "vote_minus", "flags", "light"]),
+    "spacesaving": (lambda: SpaceSaving(600),
+                    ["keys", "slot_counts", "slot_errors", "tix", "table"]),
+    "cmheap": (lambda: CMHeap(2048, rows=3, heap_capacity=32, charge_heap=False), _HEAP),
+    "countheap": (lambda: CountHeap(2048, rows=4, heap_capacity=32, charge_heap=False), _HEAP),
 }
 
 
@@ -288,7 +290,7 @@ def test_a_native_read_leaves_the_state_as_it_was(name):
     before = state(s)
     s.query(keys[-1])
     s.report(1)
-    assert s._reader is not None
+    assert s._kernel is not None
     assert state(s) == before
 
 
@@ -298,7 +300,7 @@ def test_an_unpickled_copy_reads_alike_on_both_paths(name):
     s, keys = viewed_sketch(name)
     reads = reads_on_both_paths(s, keys)
     copy = pickle.loads(pickle.dumps(s))
-    assert copy._reader is None
+    assert copy._kernel is None
     assert reads_on_both_paths(copy, keys) == reads
     assert reads[0] == reads[1]
 
@@ -306,41 +308,72 @@ def test_an_unpickled_copy_reads_alike_on_both_paths(name):
 @needs_native
 @pytest.mark.parametrize("name, buffer", [(n, b) for n in sorted(VIEWED) for b in VIEWED[n][1]])
 def test_a_read_pins_the_buffers_for_the_sketch_life(name, buffer):
-    # the Reader points at the buffers, so after a read none may move; numpy
-    # refuses the resize of an exported array with its own ValueError
-    s, keys = viewed_sketch(name)
-    if buffer == "counters":
-        rows, width = s.counters.shape
-        viewed_sketch(name)[0].counters.resize((rows, width + 1))  # passes: no read yet
-        s.query(keys[0])
-        with pytest.raises(ValueError, match="cannot resize"):
-            s.counters.resize((rows, width + 1))
-    else:
-        buf = getattr(s, buffer)
-        buf.append(buf.pop())  # passes: no read yet
-        s.query(keys[0])
-        with pytest.raises(BufferError):
-            buf.pop()
+    # the Kernel points at the buffers from the sketch's first native call,
+    # a pass or a read, so after it none may move; numpy refuses the resize
+    # of an exported array with its own ValueError
+    for first_call in (lambda s: s.insert_trace([1, 2, 3]), lambda s: s.query(1)):
+        s = VIEWED[name][0]()
+        if buffer == "counters":
+            rows, width = s.counters.shape
+            s.counters.resize((rows, width + 1))  # passes: no native call yet
+            s.counters.resize((rows, width))
+            first_call(s)
+            with pytest.raises(ValueError, match="cannot resize"):
+                s.counters.resize((rows, width + 1))
+        else:
+            buf = attrgetter(buffer)(s)
+            buf.append(buf.pop())  # passes: no native call yet
+            first_call(s)
+            with pytest.raises(BufferError):
+                buf.pop()
 
 
 @needs_native
 def test_every_read_export_holds_the_gil():
-    # every read is a call of the sketch's Reader, C-API code that holds the
+    # every read is a call of the sketch's Kernel, C-API code that holds the
     # GIL, which keeps its one Count-sketch scratch to one reader at a time;
-    # the library exports nothing else but the passes, ctypes functions
-    # that run without the GIL
+    # the module exports nothing else but mix64
     exported = {name for name in vars(native.NATIVE) if not name.startswith("_")}
-    assert exported == {"Reader", *native._SIGNATURES}
+    assert exported == {"Kernel", "mix64"}
     for name in VIEWED:
         s, keys = viewed_sketch(name)
         s.query(keys[0])
-        assert type(s._reader) is native.NATIVE.Reader, name
-        s._reader = lambda f: ("read", f)
+        assert type(s._kernel) is native.NATIVE.Kernel, name
+        s._kernel = lambda f: ("read", f)
         assert s.query(keys[0]) == ("read", keys[0]), name
-    for fn in native._SIGNATURES:
-        pass_ = getattr(native.NATIVE, fn)
-        assert isinstance(pass_, ctypes._CFuncPtr), fn
-        assert not pass_._flags_ & ctypes._FUNCFLAG_PYTHONAPI, fn
+
+
+@needs_native
+def test_a_pass_releases_the_gil():
+    # the pass runs without the GIL, so a pure-Python thread keeps running
+    # through it; were the GIL held, that thread would stand still for the
+    # whole pass but the switches at its ends
+    s = CountHeap(64 * 1024, rows=17)
+    probe = np.arange(50_000, dtype=np.uint32)
+    t0 = perf_counter()
+    s.insert_trace(probe)
+    keys = np.resize(probe, int(0.2 * probe.size / (perf_counter() - t0)))  # about 0.2 s
+    stamps, running, done = [], threading.Event(), threading.Event()
+
+    def spin():
+        running.set()
+        while not done.is_set():
+            stamps.append(perf_counter())
+            for _ in range(500):
+                pass
+
+    th = threading.Thread(target=spin)
+    th.start()
+    running.wait()
+    t0 = perf_counter()
+    s.insert_trace(keys)
+    t1 = perf_counter()
+    done.set()
+    th.join()
+    # the middle half of the pass, clear of the switches at its ends
+    quarter = (t1 - t0) / 4
+    inside = sum(t0 + quarter < t < t1 - quarter for t in stamps)
+    assert inside >= 10, (inside, len(stamps), t1 - t0)
 
 
 @needs_native
@@ -396,7 +429,7 @@ class Flow(IntEnum):
 
 @pytest.mark.parametrize("algo", ALGOS)
 def test_every_key_goes_by_check_key_on_both_paths(algo):
-    # the native Reader converts an exact int in range itself and hands
+    # the native Kernel converts an exact int in range itself and hands
     # every other key to check_key, so both paths keep one key rule
     s = small_sketch(algo, np.array([7, 7, 0, _U32_MAX], dtype=np.uint32))
     for path in (native.NATIVE, None):
