@@ -5,10 +5,10 @@ insert_trace(), query(), report(). Memory accounting is byte-budget based so
 the algorithms can be compared at equal total memory; the top-k heap's nodes
 are charged against the budget by default (configurable). All three keep
 fixed-width state. Each sketch's one native object, its `Kernel`, runs
-Space-Saving's pass or the one CMHeap and CountHeap share, and every
-query(). All are in kernels.c with the Elastic pass, `native.NATIVE` is that
-module, loaded once, and without it every insert_trace loops the Python
-insert rule and every read is Python's.
+Space-Saving's pass or the one CMHeap and CountHeap share, every query()
+and every report(). All are in kernels.c with the Elastic pass,
+`native.NATIVE` is that module, loaded once, and without it every
+insert_trace loops the Python insert rule and every read is Python's.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from . import native
-from .core import HashFamily, check_key, check_threshold
+from .core import HashFamily, check_key
 
 SS_ENTRY_BYTES = 12     # key + count + overestimation error, 4B each
 HEAP_NODE_BYTES = 8     # key + estimate
@@ -32,7 +32,8 @@ _SS_ARITY = 4           # Space-Saving's heap: slot i's children are 4i + 1 ... 
 
 
 def _ranked(keys: np.ndarray, values: np.ndarray, threshold: int) -> list[tuple[int, int]]:
-    """(key, value) pairs with value >= threshold, in (-value, key) order."""
+    """(key, value) pairs with value >= threshold, in (-value, key) order:
+    the Python rule of the Kernel's ranked report."""
     keep = np.flatnonzero(values >= threshold)
     keys, values = keys[keep], values[keep]
     order = np.lexsort((keys, -values.astype(np.int64)))
@@ -159,7 +160,8 @@ class SpaceSaving(_KeyTable, native.Sketch):
     (kernels.c) over the same arrays by the same rules, or the insert()
     loop when `native.NATIVE` is None; insert() is the reference both paths
     must match. query() is one call of the Kernel, which probes the same
-    table (`spacesaving_query`), or `_probe` when `native.NATIVE` is None.
+    table (`spacesaving_query`), or `_probe` when `native.NATIVE` is None;
+    report() is one call of the Kernel, or `_report` when it is None.
     `counts` and `errors` are read-only {flow: value} views.
     """
 
@@ -249,10 +251,9 @@ class SpaceSaving(_KeyTable, native.Sketch):
         i = self.table[self._probe(f)] - 1
         return self.slot_counts[i] if i >= 0 else 0
 
-    def report(self, threshold: int) -> list[tuple[int, int]]:
+    def _report(self, threshold: int) -> list[tuple[int, int]]:
         """Monitored (flow, count) pairs with count >= threshold, in
         (-count, key) order."""
-        check_threshold(threshold)
         return _ranked(np.frombuffer(self.keys, np.uint32)[:self.size],
                        np.frombuffer(self.slot_counts, np.uint32)[:self.size], threshold)
 
@@ -371,11 +372,11 @@ class _SketchHeapBase(native.Sketch):
     the saturating add of a step (`_add`), its estimator over the rows'
     signed counters (`_estimate`), and `_COUNT_SKETCH`, which names the same
     rules to the native `Kernel` in kernels.c, over the counters and heap:
-    insert_trace is one call of its `sketch_heap_pass`, and query() one of
-    its `estimate()`; report() ranks the heap keys' estimates from one
-    `query_array` call. When `native.NATIVE` is None, insert_trace loops
-    insert(), and query() reads through the Python rule; insert() and that
-    query() are the references both paths must match.
+    insert_trace is one call of its `sketch_heap_pass`, query() one of its
+    `estimate()`, and report() one call that ranks the heap keys by their
+    `estimate()`. When `native.NATIVE` is None, insert_trace loops
+    insert(), and query() and report() read through the Python rules;
+    insert() and those reads are the references both paths must match.
     `seeds` holds the hash rows' seeds as uint64 bytes for the kernels.
     """
 
@@ -412,6 +413,10 @@ class _SketchHeapBase(native.Sketch):
             ests.append(s * v)
         self.heap.offer(f, self._estimate(ests))
 
+    @property
+    def size(self) -> int:
+        return self.heap.size
+
     def _pass(self, kernel, keys: np.ndarray) -> None:
         self.heap.size = kernel.insert(keys, self.heap.size)
 
@@ -427,12 +432,12 @@ class _SketchHeapBase(native.Sketch):
                                self.counters.item(r, self.hash.index(r, f, self.width))
                                for r in range(self.rows)])
 
-    def report(self, threshold: int) -> list[tuple[int, int]]:
+    def _report(self, threshold: int) -> list[tuple[int, int]]:
         """Heap residents with estimates refreshed from the sketch, as
         query() computes them, in (-estimate, key) order."""
-        check_threshold(threshold)
         keys = np.frombuffer(self.heap.keys, np.uint32)[:self.heap.size]
-        return _ranked(keys, self.query_array(keys), threshold)
+        ests = np.fromiter(map(self._query, keys.tolist()), np.uint32, keys.size)
+        return _ranked(keys, ests, threshold)
 
     def uncharged_bytes(self) -> int:
         """Bytes of the heap's key->slot lookup, which the budget does not charge."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import statistics
@@ -150,7 +151,12 @@ class ResultRow:
     version: str = __version__
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The row as `asdict` shapes it, with metrics a dict of their own,
+        but shallow: the config and sample lists are the row's own, not
+        the deep copies `asdict` makes."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["metrics"] = {f.name: getattr(self.metrics, f.name) for f in fields(self.metrics)}
+        return d
 
 
 def run_single(cfg: ExperimentConfig, trace: Trace | None = None,
@@ -251,7 +257,8 @@ def _csv_record(row: ResultRow) -> dict:
 
 
 def emit(results: list[ResultRow], fmt: str, path: str | Path) -> None:
-    """Write results plus per-config CDF sample files next to `path`."""
+    """Write results plus per-config CDF sample files next to `path`. The
+    JSON and each CDF file are built in memory and written in one call."""
     path = Path(path)
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
@@ -260,8 +267,7 @@ def emit(results: list[ResultRow], fmt: str, path: str | Path) -> None:
             for row in results:
                 writer.writerow(_csv_record(row))
     elif fmt == "json":
-        with open(path, "w") as fh:
-            json.dump([row.to_dict() for row in results], fh, indent=2)
+        path.write_text(json.dumps([row.to_dict() for row in results], indent=2))
     else:
         raise ValueError(f"unknown output format {fmt!r}")
     for row in results:
@@ -269,14 +275,12 @@ def emit(results: list[ResultRow], fmt: str, path: str | Path) -> None:
         if not m.ae_samples and not m.re_samples:
             continue
         h = ExperimentConfig.from_dict(row.config).config_hash()
-        cdf_path = path.parent / f"{path.stem}.cdf-{h}.csv"
-        with open(cdf_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "value", "cum_frac"])
-            for value, frac in cdf(m.ae_samples):
-                writer.writerow(["ae", value, frac])
-            for value, frac in cdf(m.re_samples):
-                writer.writerow(["re", value, frac])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["metric", "value", "cum_frac"])
+        writer.writerows(("ae", value, frac) for value, frac in cdf(m.ae_samples))
+        writer.writerows(("re", value, frac) for value, frac in cdf(m.re_samples))
+        (path.parent / f"{path.stem}.cdf-{h}.csv").write_text(buf.getvalue(), newline="")
 
 
 def _add_config_args(p: argparse.ArgumentParser, single: bool = True) -> None:

@@ -16,10 +16,10 @@ The state is fixed-width, as the memory accounting charges it: ids, votes and
 negative votes are array('I'), flags and light counters bytearrays. The
 sketch's one native object, its `Kernel` (kernels.c, which `native.py`
 loads once), holds those buffers and the three constants: `insert_trace` is
-one call of its `elastic_pass`, and `query()` one of its `elastic_query`;
-when `native.NATIVE` is None, `insert_trace` loops the Python insert rule
-and `query()` runs the Python query rule, the references both paths must
-match.
+one call of its `elastic_pass`, `query()` one of its `elastic_query`, and
+`report()` one scan of its cells; when `native.NATIVE` is None,
+`insert_trace` loops the Python insert rule and `query()` and `report()` run
+the Python read rules, the references both paths must match.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import native
-from .core import HashFamily, check_threshold, mix64
+from .core import HashFamily, mix64
 
 _VOTE_MAX = 0xFFFFFFFF
 _LIGHT_MAX = 255
@@ -207,10 +207,9 @@ class _ElasticBucket(native.Sketch):
             est += self.light[self.light_index(f)]
         return est
 
-    def report(self, threshold: int) -> list[tuple[int, int]]:
+    def _report(self, threshold: int) -> list[tuple[int, int]]:
         """Resident (flow id, estimate) pairs with estimate >= threshold,
         in bucket order, then cell order; an estimate is query()'s."""
-        check_threshold(threshold)
         ids = np.frombuffer(self.ids, np.uint32)
         # an empty cell's estimate is 0, below every threshold
         ests = np.frombuffer(self.votes, np.uint32)

@@ -19,6 +19,10 @@
      estimate               CMHeap and CountHeap
      spacesaving_query      SpaceSaving
 
+   report() returns the sketch's report() list, holding the GIL too: an
+   Elastic sketch's cells in cell order (elastic_report), or the slots of
+   a heap or table ranked by value (ranked_report).
+
    mix64(), a module function for the tests, is core.mix64, and a hash
    row's index is mix64(row_seed ^ key) % range, as in core.HashFamily. */
 
@@ -27,6 +31,7 @@
 #include <Python.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 static inline uint64_t mix(uint64_t x)
 {
@@ -611,7 +616,11 @@ static uint32_t spacesaving_query(const ss_args_t *sv, uint32_t f)
    writes the estimate of each uint32 key to out, as uint64 for an Elastic
    sketch and uint32 otherwise.  An exact int key in [0, 2**32) converts
    here; any other key goes to check_key (core.check_key), which returns
-   such an int or raises ValueError, so the key rule stays in one place. */
+   such an int or raises ValueError, so the key rule stays in one place.
+
+   kernel.report(threshold, size) returns the list of (flow, estimate)
+   pairs with an estimate of at least threshold, a uint64, taking size as
+   insert() does. */
 
 enum { ELASTIC, SKETCH, SPACESAVING, RULES, MAX_PINS = 6 };
 
@@ -627,6 +636,7 @@ typedef struct {
     Py_ssize_t capacity; /* the slots of the heap or table; 0 for an Elastic sketch */
     PyObject *check_key;
     Py_buffer pins[MAX_PINS];
+    PyObject *weak[MAX_PINS]; /* a weak reference to each pinned object that takes one */
     int64_t *scratch; /* the reads' Count-sketch scratch: rows int64s */
     union {
         elastic_args_t elastic;
@@ -776,10 +786,183 @@ static PyObject *kernel_read_into(PyObject *self, PyObject *const *args, Py_ssiz
     return done;
 }
 
+/* ---- report(): the heavy hitters as one list of (flow, estimate) pairs,
+   made at its size with PyList_New and filled in place. */
+
+/* A new (key, value) tuple, or NULL with an exception set. */
+static PyObject *report_item(uint32_t key, uint64_t value)
+{
+    PyObject *t = PyTuple_New(2), *k = PyLong_FromUnsignedLong(key),
+             *v = PyLong_FromUnsignedLongLong(value);
+    if (t == NULL || k == NULL || v == NULL) {
+        Py_XDECREF(t);
+        Py_XDECREF(k);
+        Py_XDECREF(v);
+        return NULL;
+    }
+    PyTuple_SET_ITEM(t, 0, k);
+    PyTuple_SET_ITEM(t, 1, v);
+    return t;
+}
+
+/* Cell i's report estimate, as _ElasticBucket._report reads it: its votes,
+   plus its light counter when it is flagged. */
+static inline uint64_t cell_estimate(const elastic_args_t *ev, size_t i)
+{
+    uint64_t est = ev->votes[i];
+    if (ev->flags && ev->light && ev->flags[i])
+        est += ev->light[mix(ev->light_seed ^ ev->ids[i]) % ev->light_size];
+    return est;
+}
+
+#define SCREEN 64 /* values screened at once */
+
+/* 0 when v[lo, hi) is a full block of SCREEN values all below bound, so
+   that a report can pass over it: a loop the compiler vectorises. */
+static inline int screened(const uint32_t *v, size_t lo, size_t hi, uint32_t bound)
+{
+    unsigned any = 0;
+    if (hi - lo < SCREEN)
+        return 1;
+    for (int i = 0; i < SCREEN; i++)
+        any |= v[lo + i] >= bound;
+    return any != 0;
+}
+
+/* The cells with an estimate of at least t, in cell order.  An estimate is
+   at most the votes plus LIGHT_MAX, the slack, when the cell can be
+   flagged, so only the blocks whose votes pass the screen at t - slack
+   are read.  One scan gathers the indices of the cells that pass, and the
+   list is then made at its size. */
+static PyObject *elastic_report(const elastic_args_t *ev, uint64_t t)
+{
+    size_t cells = (size_t)ev->bucket_count * (size_t)ev->cells, n = 0;
+    uint64_t slack = ev->flags && ev->light ? LIGHT_MAX : 0;
+    if (t > (uint64_t)VOTE_MAX + slack)
+        return PyList_New(0);
+    uint32_t screen = t > slack ? (uint32_t)(t - slack) : 0;
+    size_t *pass = PyMem_New(size_t, cells);
+    if (pass == NULL)
+        return PyErr_NoMemory();
+    for (size_t lo = 0; lo < cells; lo += SCREEN) {
+        size_t hi = cells - lo < SCREEN ? cells : lo + SCREEN;
+        if (!screened(ev->votes, lo, hi, screen))
+            continue;
+        /* branch-free: pass[n] is overwritten unless cell i passes */
+        for (size_t i = lo; i < hi; i++) {
+            pass[n] = i;
+            n += cell_estimate(ev, i) >= t;
+        }
+    }
+    PyObject *out = PyList_New((Py_ssize_t)n);
+    for (size_t j = 0; out != NULL && j < n; j++) {
+        PyObject *p = report_item(ev->ids[pass[j]], cell_estimate(ev, pass[j]));
+        if (p == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, (Py_ssize_t)j, p);
+    }
+    PyMem_Free(pass);
+    return out;
+}
+
+#define RADIX_BITS 11
+#define RADIX_PASSES 6 /* 6 * 11 >= 64 */
+
+#define DIGIT(x, shift) ((x) >> (shift) & ((1u << RADIX_BITS) - 1))
+
+/* Sorts a[0, n) ascending by an LSD radix sort, moving the entries between
+   a and tmp, of n entries each; returns the one that holds them sorted.  A
+   pass whose digit is the same in every entry would move nothing and is
+   skipped. */
+static uint64_t *radix_sort(uint64_t *a, uint64_t *tmp, size_t n)
+{
+    size_t count[1u << RADIX_BITS];
+    for (unsigned shift = 0; n && shift < RADIX_PASSES * RADIX_BITS; shift += RADIX_BITS) {
+        memset(count, 0, sizeof count);
+        for (size_t i = 0; i < n; i++)
+            count[DIGIT(a[i], shift)]++;
+        if (count[DIGIT(a[0], shift)] == n)
+            continue;
+        for (size_t d = 0, sum = 0; d < (1u << RADIX_BITS); d++) {
+            size_t c = count[d];
+            count[d] = sum;
+            sum += c;
+        }
+        for (size_t i = 0; i < n; i++)
+            tmp[count[DIGIT(a[i], shift)]++] = a[i];
+        uint64_t *moved = tmp;
+        tmp = a;
+        a = moved;
+    }
+    return a;
+}
+
+/* Slots [0, size) of a heap or table, each valued by its count or its
+   estimate, with a value of at least t, ranked by descending value, then
+   ascending key: sorted ascending on (~value) << 32 | key.  Space-Saving's
+   counts are screened by block, as the Elastic votes are; a heap's
+   estimates are read afresh, so every slot is. */
+static PyObject *ranked_report(const kernel_t *r, uint64_t t, size_t size)
+{
+    const uint32_t *keys = r->rule == SKETCH ? r->v.sketch.kt.keys : r->v.ss.kt.keys;
+    if (t > UINT32_MAX)
+        return PyList_New(0);
+    uint64_t *buf = PyMem_New(uint64_t, 2 * size + 1);
+    if (buf == NULL)
+        return PyErr_NoMemory();
+    size_t n = 0;
+    for (size_t lo = 0; lo < size; lo += SCREEN) {
+        size_t hi = size - lo < SCREEN ? size : lo + SCREEN;
+        if (r->rule == SPACESAVING && !screened(r->v.ss.counts, lo, hi, (uint32_t)t))
+            continue;
+        for (size_t i = lo; i < hi; i++) {
+            uint32_t v = r->rule == SKETCH ? (uint32_t)read_key(r, keys[i]) : r->v.ss.counts[i];
+            if (v >= t)
+                buf[n++] = (uint64_t)(uint32_t)~v << 32 | keys[i];
+        }
+    }
+    const uint64_t *ranked = radix_sort(buf, buf + n, n);
+    PyObject *out = PyList_New((Py_ssize_t)n);
+    for (size_t j = 0; out != NULL && j < n; j++) {
+        PyObject *p = report_item((uint32_t)ranked[j], (uint32_t)~(ranked[j] >> 32));
+        if (p == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, (Py_ssize_t)j, p);
+    }
+    PyMem_Free(buf);
+    return out;
+}
+
+static PyObject *kernel_report(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    const kernel_t *r = (const kernel_t *)self;
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "report takes a threshold and a size");
+        return NULL;
+    }
+    unsigned long long t = PyLong_AsUnsignedLongLong(args[0]);
+    if (t == (unsigned long long)-1 && PyErr_Occurred())
+        return NULL;
+    Py_ssize_t size = PyLong_AsSsize_t(args[1]);
+    if (size < 0 || size > r->capacity) {
+        if (!PyErr_Occurred())
+            PyErr_Format(PyExc_ValueError, "size %zd is outside [0, %zd]", size, r->capacity);
+        return NULL;
+    }
+    if (r->rule == ELASTIC)
+        return elastic_report(&r->v.elastic, t);
+    return ranked_report(r, t, (size_t)size);
+}
+
 /* 0 with *buf the bytes of the pair (obj, nbytes), exported into *view,
    writable unless read_only, after checking that obj holds exactly nbytes,
-   or NULL for None; else -1 with an exception set. */
-static int pin(PyObject *pair, Py_buffer *view, void **buf, int read_only)
+   or NULL for None; else -1 with an exception set.  *weak is a weak
+   reference to obj, or NULL when obj takes none: numpy refuses to resize
+   an array that one points at, even with refcheck=False, which the export
+   alone does not stop. */
+static int pin(PyObject *pair, Py_buffer *view, PyObject **weak, void **buf, int read_only)
 {
     PyObject *obj;
     Py_ssize_t nbytes;
@@ -797,14 +980,22 @@ static int pin(PyObject *pair, Py_buffer *view, void **buf, int read_only)
         return -1;
     }
     *buf = view->buf;
+    /* a bytearray or bytes takes no weak reference, and needs none */
+    if ((*weak = PyWeakref_NewRef(obj, NULL)) == NULL) {
+        if (!PyErr_ExceptionMatches(PyExc_TypeError))
+            return -1;
+        PyErr_Clear();
+    }
     return 0;
 }
 
 static void kernel_dealloc(PyObject *self)
 {
     kernel_t *r = (kernel_t *)self;
-    for (int i = 0; i < MAX_PINS; i++)
+    for (int i = 0; i < MAX_PINS; i++) {
+        Py_XDECREF(r->weak[i]);
         PyBuffer_Release(&r->pins[i]);
+    }
     PyMem_Free(r->scratch);
     Py_XDECREF(r->check_key);
     Py_TYPE(self)->tp_free(self);
@@ -835,7 +1026,7 @@ static PyObject *kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     r->check_key = Py_NewRef(check_key);
     void *b[MAX_PINS];
     for (Py_ssize_t i = 0; i < rule_pins[rule]; i++)
-        if (pin(PyTuple_GET_ITEM(buffers, i), &r->pins[i], &b[i],
+        if (pin(PyTuple_GET_ITEM(buffers, i), &r->pins[i], &r->weak[i], &b[i],
                 rule_read_only[rule] >> i & 1) < 0)
             goto fail;
     /* the params parse straight into the arguments, typed as the codes say */
@@ -876,6 +1067,8 @@ static PyMethodDef kernel_methods[] = {
      "insert(keys, size): the insert pass over the uint32 keys, without the GIL"},
     {"read_into", (PyCFunction)(void (*)(void))kernel_read_into, METH_FASTCALL,
      "read_into(keys, out): the estimate of each uint32 key, written to out"},
+    {"report", (PyCFunction)(void (*)(void))kernel_report, METH_FASTCALL,
+     "report(threshold, size): the (flow, estimate) pairs at or above threshold"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -13,8 +13,9 @@ of any kind, a sketch builds one `Kernel` over its buffers and scalar
 parameters, which pins the buffers for the sketch's life. `kernel.insert`
 runs the sketch's pass without the GIL (`elastic_pass` for both Elastic
 variants, `sketch_heap_pass` for CMHeap and CountHeap, `spacesaving_pass`
-for SpaceSaving); a read is a call of the Kernel, C-API code that holds the
-GIL, which keeps its one Count-sketch scratch safe across threads. A sketch
+for SpaceSaving); a read, a `query` or a `report`, is a call of the Kernel,
+C-API code that holds the GIL, which keeps its one Count-sketch scratch
+safe across threads. A sketch
 caches its Kernel in `_kernel`, which pickling drops, so it pickles alike
 on both paths; it reads `native.NATIVE` at each call.
 """
@@ -33,7 +34,7 @@ from types import ModuleType
 
 import numpy as np
 
-from .core import check_key, key_array
+from .core import check_key, check_threshold, key_array
 
 _SOURCE = Path(__file__).parent / "kernels.c"
 _CACHE = _SOURCE.parent / "_native"
@@ -41,6 +42,7 @@ _CC = ("cc", "-std=c99", "-O2", "-shared", "-fPIC")
 # this interpreter's C headers, and the suffix that names its ABI
 _INCLUDE = sysconfig.get_paths()["include"]
 _EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
+_U64_MAX = 2**64 - 1  # the Kernel's threshold: no estimate reaches it
 
 
 def _command() -> list[str]:
@@ -102,17 +104,21 @@ NATIVE = load_kernels()
 
 
 class Sketch:
-    """Base class of every sketch: `insert_trace`, `query` and `query_array`
-    call the sketch's native `Kernel`, or its Python rule when `NATIVE` is
-    None. A sketch states `_kernel_args()`, its rule, buffers and parameters
-    (see kernels.c); `_insert(f)` and `_query(f)`, its Python rules for a
-    checked key; and `_pass(kernel, keys)`, which calls `kernel.insert` with
-    the current size and takes in the result. The Kernel, built on the first
-    native call, is cached in `_kernel`, which pickling drops, so a sketch
-    pickles alike before and after. `_ESTIMATE` is `query_array`'s dtype."""
+    """Base class of every sketch: `insert_trace`, `query`, `query_array`
+    and `report` call the sketch's native `Kernel`, or its Python rule when
+    `NATIVE` is None. A sketch states `_kernel_args()`, its rule, buffers
+    and parameters (see kernels.c); `_insert(f)` and `_query(f)`, its Python
+    rules for a checked key, and `_report(t)`, for a checked threshold;
+    `_pass(kernel, keys)`, which calls `kernel.insert` with the current size
+    and takes in the result; and `size`, the heap's or table's slots in use,
+    which `report` passes (0 for an Elastic sketch). The Kernel, built on
+    the first native call, is cached in `_kernel`, which pickling drops, so
+    a sketch pickles alike before and after. `_ESTIMATE` is `query_array`'s
+    dtype."""
 
     _kernel = None
     _ESTIMATE = np.uint32
+    size = 0
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if k != "_kernel"}
@@ -155,3 +161,13 @@ class Sketch:
         out = np.empty(keys.size, self._ESTIMATE)
         (self._kernel or self._new_kernel()).read_into(keys, out)
         return out
+
+    def report(self, threshold: int) -> list[tuple[int, int]]:
+        """(flow, estimate) pairs with estimate >= threshold, an integer of
+        at least 1: one call of the sketch's Kernel, or the Python rule when
+        the kernels are not built."""
+        check_threshold(threshold)
+        if NATIVE is None:
+            return self._report(threshold)
+        return (self._kernel or self._new_kernel()).report(min(int(threshold), _U64_MAX),
+                                                            self.size)

@@ -1,11 +1,12 @@
 """Experiment configs, sweep runners, result emission, and the CLI."""
 
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,8 @@ from hhsketch import (
     run_memory_sweep,
     run_single,
 )
-from hhsketch.bench import CSV_COLUMNS, _config_from_args, build_parser, main
+from hhsketch.bench import CSV_COLUMNS, ResultRow, _config_from_args, build_parser, main
+from hhsketch.metrics import MetricsBundle, cdf
 
 SMALL = dict(memory_kb=8, zipf_n=20_000, zipf_distinct=2000, threshold_frac=0.001,
              repeats=0)
@@ -185,6 +187,35 @@ class TestEmission:
         assert ExperimentConfig.from_dict(data[0]["config"]) == \
                ExperimentConfig.from_dict(row.config)
         assert data[0]["metrics"]["f1"] == row.metrics.f1
+
+    def test_emit_bytes_match_the_reference_writers(self, tmp_path):
+        # emit builds its dicts shallowly and writes each file in one call;
+        # the bytes must be those of json.dump(asdict(row), indent=2) and of
+        # csv.writer's \r\n rows, from samples with repeats and floats
+        # that need all of repr's digits
+        row = ResultRow(
+            config=ExperimentConfig(algo="cmheap", **SMALL).to_dict(), n_packets=20_000,
+            n_true_hh=4, threshold=20,
+            metrics=MetricsBundle(0.5, 1 / 3, 1.0, 2 / 3, 0.8, ae_samples=[3, 0, 3, 1],
+                                  re_samples=[0.1, 0.0, 1 / 3, 0.1],
+                                  throughput_mpps=[1.5, 2.25]),
+            mpps_mean=1.875, mpps_std=None, noop_mpps_mean=None, report_seconds=1e-5,
+            wall_seconds=0.25)
+        assert row.to_dict() == asdict(row)
+        out = tmp_path / "r.json"
+        emit([row, row], "json", out)
+        want = io.StringIO()
+        json.dump([asdict(row), asdict(row)], want, indent=2)
+        assert out.read_bytes() == want.getvalue().encode()
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["metric", "value", "cum_frac"])
+        for metric, samples in (("ae", row.metrics.ae_samples), ("re", row.metrics.re_samples)):
+            for value, frac in cdf(samples):
+                writer.writerow([metric, value, frac])
+        h = ExperimentConfig.from_dict(row.config).config_hash()
+        assert (tmp_path / f"r.cdf-{h}.csv").read_bytes() == want.getvalue().encode()
+        assert b"\r\n" in want.getvalue().encode()
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):

@@ -83,7 +83,7 @@ def test_python_pass_report_matches_scalar_queries(name, no_native):
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_empty_sketch_reports_nothing(name):
     sketch = FACTORIES[name](1)
-    assert sketch.report(1) == []
+    assert sketch.report(1) == sketch.report(2**64) == []
     with pytest.raises(ValueError):
         sketch.report(0)
 
@@ -93,12 +93,14 @@ def test_python_pass_empty_sketch_reports_nothing(name, no_native):
     test_empty_sketch_reports_nothing(name)
 
 
-def reads_on_both_paths(sketch, keys):
-    """query() of every key and report() at 1, the median estimate and
-    max + 1, read natively and then through the Python rule, from one
-    sketch, after checking that query_array() reads as query() on each."""
-    ests = sorted(sketch.query(k) for k in keys)
-    thresholds = [1, max(1, ests[len(ests) // 2]), ests[-1] + 1]
+def reads_on_both_paths(sketch, keys, thresholds=None):
+    """query() of every key and report() at each threshold, by default 1,
+    the median estimate and max + 1, read natively and then through the
+    Python rule, from one sketch, after checking that query_array() reads
+    as query() on each."""
+    if thresholds is None:
+        ests = sorted(sketch.query(k) for k in keys)
+        thresholds = [1, max(1, ests[len(ests) // 2]), ests[-1] + 1]
     reads = []
     for path in (native.NATIVE, None):
         with pytest.MonkeyPatch.context() as m:
@@ -257,9 +259,10 @@ def test_flagged_full_cell_reads_above_32_bits_on_both_paths():
     f = 5
     s.ids[0], s.votes[0], s.flags[0] = f, _U32_MAX, 1
     s.light[s.light_index(f)] = 255
-    native_reads, python_reads = reads_on_both_paths(s, [f])
+    top = 2**32 + 254
+    native_reads, python_reads = reads_on_both_paths(s, [f], [1, _U32_MAX, top, top + 1])
     assert native_reads == python_reads
-    assert native_reads[0] == [_U32_MAX + 255]
+    assert native_reads == ([top], [[(f, top)], [(f, top)], [(f, top)], []])
 
 
 # every sketch, whose passes and reads go through a native Kernel, and the
@@ -281,6 +284,53 @@ def viewed_sketch(name):
     keys = random_trace(np.random.default_rng(len(name)), max_packets=5000).keys
     s.insert_trace(keys)
     return s, [0, _U32_MAX, *np.unique(keys).tolist()]
+
+
+@needs_native
+@pytest.mark.parametrize("name", sorted(VIEWED))
+def test_report_thresholds_past_64_bits_on_both_paths(name):
+    # the Kernel takes min(t, 2**64 - 1), which no estimate reaches; a numpy
+    # integer threshold reports as the int of its value
+    s, keys = viewed_sketch(name)
+    edge = [2**64 - 1, 2**64, 2**70, np.uint64(2**64 - 1), np.int64(2**63 - 1)]
+    native_reads, python_reads = reads_on_both_paths(
+        s, keys, [*edge, np.uint64(1), np.int64(1), 1])
+    assert native_reads == python_reads
+    reports = native_reads[1]
+    assert reports[:len(edge)] == [[]] * len(edge)
+    assert reports[-3] == reports[-2] == reports[-1] != []
+
+
+@needs_native
+@pytest.mark.parametrize("cls", [SpaceSaving, CMHeap, CountHeap])
+def test_equal_estimates_rank_by_ascending_key_on_both_paths(cls):
+    # 5000 distinct keys over the whole 32-bit range, each seen once, so
+    # nearly all estimates tie at 1 (a one-row Count sketch's collisions
+    # move a few); then Space-Saving's counts are set to values whose ranks
+    # differ in the high digits of the native sort's key
+    rng = np.random.default_rng(9)
+    keys = rng.choice(2**32, size=5000, replace=False).astype(np.uint32)
+    if cls is SpaceSaving:
+        s = cls(12 * keys.size)
+    else:
+        s = cls(4 * 2**20, rows=1, heap_capacity=keys.size, charge_heap=False)
+    s.insert_trace(keys)
+
+    def ranked_alike(thresholds):
+        native_reads, python_reads = reads_on_both_paths(s, keys.tolist(), thresholds)
+        assert native_reads == python_reads
+        ranked = native_reads[1][0]
+        assert ranked == sorted(ranked, key=lambda kv: (-kv[1], kv[0]))
+        return ranked
+
+    ranked = ranked_alike([1, 2])
+    assert sum(v == 1 for _, v in ranked) > 0.99 * keys.size
+    if cls is SpaceSaving:
+        counts = [1, 2, 2**16, 2**31, _U32_MAX]
+        for i in range(s.size):
+            s.slot_counts[i] = counts[i % len(counts)]
+        ranked = ranked_alike([1, 2, 2**31])
+        assert ranked[0][1] == _U32_MAX and ranked[-1][1] == 1
 
 
 @needs_native
@@ -310,16 +360,22 @@ def test_an_unpickled_copy_reads_alike_on_both_paths(name):
 def test_a_read_pins_the_buffers_for_the_sketch_life(name, buffer):
     # the Kernel points at the buffers from the sketch's first native call,
     # a pass or a read, so after it none may move; numpy refuses the resize
-    # of an exported array with its own ValueError
-    for first_call in (lambda s: s.insert_trace([1, 2, 3]), lambda s: s.query(1)):
+    # of an exported array with its own ValueError, and with refcheck=False
+    # too, as the Kernel holds a weak reference to the array, which it
+    # drops with the Kernel
+    for first_call in (lambda s: s.insert_trace([1, 2, 3]), lambda s: s.query(1),
+                       lambda s: s.report(1)):
         s = VIEWED[name][0]()
         if buffer == "counters":
             rows, width = s.counters.shape
             s.counters.resize((rows, width + 1))  # passes: no native call yet
             s.counters.resize((rows, width))
             first_call(s)
-            with pytest.raises(ValueError, match="cannot resize"):
-                s.counters.resize((rows, width + 1))
+            for refcheck in (True, False):
+                with pytest.raises(ValueError, match="cannot resize"):
+                    s.counters.resize((rows, width + 1), refcheck=refcheck)
+            s._kernel = None
+            s.counters.resize((rows, width + 1), refcheck=False)
         else:
             buf = attrgetter(buffer)(s)
             buf.append(buf.pop())  # passes: no native call yet
